@@ -4,33 +4,31 @@ Each algorithm freezes the special/ordinary classification of its input,
 then merges ordinary nodes until none remain mergeable: list and cycle
 components contract edge-connected ordinary pairs, trees fold collapsed
 child pairs into their parent bottom-up, and DAGs merge reference-similar
-groups.  A merged node carries a self edge marking that it now stands for
-a whole region.
+groups.
 
-Every run also constructs the witness certifying its own output, plus a
-log of the merges it performed.
+A merge only records which survivor absorbed which nodes.  The output is
+then the quotient of the input by the merged regions: its nodes are the
+survivors, its edges the images of the input edges under the node map,
+plus a self edge on every survivor that stands for two or more input
+nodes (both an "l" and an "r" one in a tree).  Every run also returns the
+witness certifying its own output, plus a log of the merges it performed.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .classify import ordinary_nodes, ref_similar_dag
-from .errors import (
-    InvalidComponentError,
-    LayoutMismatchError,
-    SameNodeError,
-    UnknownNodeError,
-)
+from .classify import node_classes, similarity_groups
+from .errors import InternalInvariantError, InvalidComponentError
 from .model import (
     Component,
+    ComponentIndex,
     Heap,
     Layout,
     NodeEdge,
     TreeEdge,
-    VarEdge,
-    depth_map,
-    height,
+    _require_layout,
     validate_component,
 )
 from .witness import Witness, map_edge
@@ -53,273 +51,210 @@ class AbstractionResult:
     merge_log: tuple
 
 
-def _require_layout(c: Component, layouts: tuple, what: str):
-    if c.layout not in layouts:
-        wanted = "/".join(l.value for l in layouts)
-        raise LayoutMismatchError(
-            f"{what} applies to {wanted} components, not {c.layout.value}"
-        )
-
-
-def _require_nodes(c: Component, *nodes: str):
-    unknown = set(nodes) - c.nodes
-    if unknown:
-        raise UnknownNodeError(f"undeclared nodes: {sorted(unknown)}")
-
-
-def _require_valid(c: Component):
-    violations = validate_component(c)
-    if violations:
-        raise InvalidComponentError(violations)
-
-
-def remove_node(c: Component, survivor: str, removed: str) -> Component:
-    """Delete ``removed``, redirecting its edges to ``survivor``.
-
-    Edges into the removed node are retargeted at the survivor, edges out
-    of it are re-sourced from the survivor, and its self edge becomes the
-    survivor's self edge.  The direct edge (survivor, removed) is dropped;
-    the merge algorithms add the survivor's self edge themselves.
-    """
-    _require_layout(c, (Layout.SLL, Layout.C, Layout.DAG), "node removal")
-    _require_nodes(c, survivor, removed)
-    if survivor == removed:
-        raise SameNodeError(f"survivor and removed node are both {survivor}")
-
-    edges = set()
-    for e in c.edges:
-        if isinstance(e, VarEdge):
-            target = survivor if e.target == removed else e.target
-            edges.add(VarEdge(e.var, target))
-            continue
-        if (e.src, e.dst) == (survivor, removed):
-            continue
-        src = survivor if e.src == removed else e.src
-        dst = survivor if e.dst == removed else e.dst
-        edges.add(NodeEdge(src, dst))
-    return Component(c.layout, c.vars, c.nodes - {removed}, frozenset(edges))
-
-
-def remove_nodes_tree(c: Component, b: str, c2: str) -> Component:
-    """Delete a pair of tree nodes together with every edge touching them."""
-    _require_layout(c, (Layout.T,), "tree pair removal")
-    _require_nodes(c, b, c2)
-    if b == c2:
-        raise SameNodeError(f"cannot remove node {b} twice")
-
-    gone = {b, c2}
-    edges = set()
-    for e in c.edges:
-        if isinstance(e, VarEdge):
-            if e.target not in gone:
-                edges.add(e)
-        elif e.src not in gone and e.dst not in gone:
-            edges.add(e)
-    return Component(c.layout, c.vars, c.nodes - gone, frozenset(edges))
-
-
-def _final_survivor(parent: dict, n: str) -> str:
-    while n in parent:
-        n = parent[n]
-    return n
-
-
-def _build_witness(c: Component, parent: dict) -> Witness:
-    node_map = {n: _final_survivor(parent, n) for n in c.nodes}
-    edge_map = {e: map_edge(e, node_map) for e in c.edges}
-    return Witness(node_map, edge_map)
-
-
-def _merge_chain(c: Component, what: str) -> AbstractionResult:
-    """Shared merge loop for list and cycle components.
+def _merge_chain(index: ComponentIndex, ordinary: set) -> tuple:
+    """List and cycle merges: contract the smallest live ordinary pair.
 
     Repeatedly contracts the lexicographically smallest edge between two
-    ordinary nodes, adding the survivor's self edge.  In a cycle component
-    the removed node's only incoming edge is the contracted one (ordinary
-    cycle nodes have in-degree 1), so redirecting incoming edges is a
-    no-op there and the same contraction serves both layouts.
+    ordinary nodes: the source survives and takes over the edges of the
+    node it absorbs.  Only edges between ordinary nodes can ever form a
+    pair, so only those are tracked; a heap holds every pair created so
+    far, and pairs whose endpoints have since merged are skipped.
     """
-    members = set(ordinary_nodes(c))
-    budget = max(len(members) - 1, 0)
-    work = c
+    succ = {n: {e.dst for e in index.out[n] if e.dst in ordinary} for n in ordinary}
+    pred = {n: {e.src for e in index.into[n] if e.src in ordinary} for n in ordinary}
+    pairs = [(a, b) for a in ordinary for b in succ[a]]
+    heapq.heapify(pairs)
     parent: dict = {}
     log = []
-    while True:
-        pairs = sorted(
-            (e.src, e.dst)
-            for e in work.edges
-            if isinstance(e, NodeEdge)
-            and e.src != e.dst
-            and e.src in members
-            and e.dst in members
-        )
-        if not pairs:
-            break
-        a, b = pairs[0]
-        work = remove_node(work, a, b)
-        work = Component(
-            work.layout, work.vars, work.nodes, work.edges | {NodeEdge(a, a)}
-        )
+    while pairs:
+        a, b = heapq.heappop(pairs)
+        if a in parent or b in parent or b not in succ[a]:
+            continue
+        succ[a].discard(b)
+        pred[b].discard(a)
+        for x in succ.pop(b):
+            pred[x].discard(b)
+            if x != a:
+                succ[a].add(x)
+                pred[x].add(a)
+                heapq.heappush(pairs, (a, x))
+        for y in pred.pop(b):
+            succ[y].discard(b)
+            succ[y].add(a)
+            pred[a].add(y)
+            heapq.heappush(pairs, (y, a))
         parent[b] = a
-        members.discard(b)
         log.append(MergeEvent(a, (b,)))
-    assert len(log) <= budget, f"{what} exceeded its merge bound"
-    return AbstractionResult(work, _build_witness(c, parent), tuple(log))
+    return parent, log, max(len(ordinary) - 1, 0)
+
+
+def _merge_tree(index: ComponentIndex, ordinary: set) -> tuple:
+    """Tree merges: fold collapsed child pairs into their parents, bottom-up.
+
+    Levels are processed bottom-up (depths are frozen at entry); the root
+    level never absorbs.  At level i, an ordinary parent whose l/r
+    children are distinct ordinary nodes absorbs them provided the pair
+    is detachable: no variable points at either child, and every edge
+    touching them that survives so far stays inside the trio.  Without
+    that proviso a merge could orphan a deeper special node and the
+    output would not abstract the input.  A merge removes only nodes one
+    level down whose every edge stays in its own trio, so it neither
+    creates nor spoils another triple of the level; settling the level's
+    triples in ascending order, skipping those whose children are gone,
+    therefore repeats "merge the smallest triple" exactly.
+    """
+    parent: dict = {}
+    log = []
+    depths = index.depths
+    if not depths:
+        return parent, log, 0
+    by_level: dict = {}
+    for n in ordinary:
+        by_level.setdefault(depths[n], []).append(n)
+
+    def detachable(n: str, trio: tuple) -> bool:
+        return not index.pointed[n] and all(
+            e.src in trio and e.dst in trio or e.src in parent or e.dst in parent
+            for e in (*index.out[n], *index.into[n])
+        )
+
+    for level in range(max(depths.values()) - 1, 0, -1):
+        triples = []
+        for a in by_level.get(level, ()):
+            left = [e.dst for e in index.out[a] if e.label == "l" and e.dst in ordinary]
+            right = [e.dst for e in index.out[a] if e.label == "r" and e.dst in ordinary]
+            for b in left:
+                for c2 in right:
+                    trio = (a, b, c2)
+                    if b != c2 and detachable(b, trio) and detachable(c2, trio):
+                        triples.append(trio)
+        for a, b, c2 in sorted(triples):
+            if b not in parent and c2 not in parent:
+                parent[b] = parent[c2] = a
+                log.append(MergeEvent(a, (b, c2)))
+    return parent, log, len(ordinary) // 2 * 2
+
+
+def _merge_dag(index: ComponentIndex, ordinary: set) -> tuple:
+    """DAG merges: each reference-similar group collapses onto its smallest member."""
+    parent: dict = {}
+    log = []
+    groups = similarity_groups(index, ordinary)
+    for keeper, *rest in groups:
+        if rest:
+            for r in rest:
+                parent[r] = keeper
+            log.append(MergeEvent(keeper, tuple(rest)))
+    return parent, log, len(ordinary) - len(groups)
+
+
+# Each returns the parent map (survivor per removed node), the merge log
+# and the bound on the number of removed nodes.
+_MERGES = {
+    Layout.SLL: _merge_chain,
+    Layout.T: _merge_tree,
+    Layout.C: _merge_chain,
+    Layout.DAG: _merge_dag,
+}
+
+
+def _survivors(nodes, parent: dict) -> dict:
+    """Node map sending every node to the survivor at the end of its parent chain."""
+    node_map: dict = {}
+    for n in nodes:
+        chain = []
+        while n not in node_map and n in parent:
+            chain.append(n)
+            n = parent[n]
+        survivor = node_map.get(n, n)
+        for m in (*chain, n):
+            node_map[m] = survivor
+    return node_map
+
+
+def _quotient(c: Component, parent: dict, log: list) -> AbstractionResult:
+    node_map = _survivors(c.nodes, parent)
+    edge_map = {e: map_edge(e, node_map) for e in c.edges}
+    edges = set(edge_map.values())
+    for s in {node_map[n] for n in parent}:
+        if c.layout is Layout.T:
+            edges.update((TreeEdge(s, s, "l"), TreeEdge(s, s, "r")))
+        else:
+            edges.add(NodeEdge(s, s))
+    output = Component(c.layout, c.vars, frozenset(node_map.values()), frozenset(edges))
+    return AbstractionResult(output, Witness(node_map, edge_map), tuple(log))
+
+
+def _abstract_indexed(index: ComponentIndex) -> AbstractionResult:
+    c = index.component
+    ordinary = {n for n, k in node_classes(c, index).items() if not k.special}
+    parent, log, budget = _MERGES[c.layout](index, ordinary)
+    if len(parent) > budget:
+        raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
+    return _quotient(c, parent, log)
+
+
+def validate_and_abstract(c: Component) -> tuple:
+    """Validate a component once and, when it is valid, abstract it.
+
+    Returns ``(violations, result)``; ``result`` is None exactly when
+    there are violations.  The component's index is built here and
+    dropped on return.
+    """
+    index = ComponentIndex(c)
+    violations = validate_component(c, index)
+    return violations, (None if violations else _abstract_indexed(index))
+
+
+def abstract_component(c: Component) -> AbstractionResult:
+    """Abstract one valid component, dispatching on its layout."""
+    violations, result = validate_and_abstract(c)
+    if violations:
+        raise InvalidComponentError(violations)
+    return result
 
 
 def abstract_sll(c: Component) -> AbstractionResult:
     """Abstract a list component by merging runs of ordinary nodes."""
-    _require_layout(c, (Layout.SLL,), "list abstraction")
-    _require_valid(c)
-    return _merge_chain(c, "list abstraction")
+    _require_layout(c, Layout.SLL, "list abstraction")
+    return abstract_component(c)
 
 
 def abstract_cycle(c: Component) -> AbstractionResult:
     """Abstract a cycle component by merging its ordinary arcs."""
-    _require_layout(c, (Layout.C,), "cycle abstraction")
-    _require_valid(c)
-    return _merge_chain(c, "cycle abstraction")
-
-
-def _detachable(work: Component, a: str, b: str, c2: str) -> bool:
-    # Deleting b and c2 is witness-safe only if everything touching them
-    # stays inside the merged trio; a dangling edge to a survivor would
-    # lose its image.
-    trio = {a, b, c2}
-    pair = {b, c2}
-    for e in work.edges:
-        if isinstance(e, VarEdge):
-            if e.target in pair:
-                return False
-        elif e.src in pair or e.dst in pair:
-            if e.src not in trio or e.dst not in trio:
-                return False
-    return True
+    _require_layout(c, Layout.C, "cycle abstraction")
+    return abstract_component(c)
 
 
 def abstract_tree(c: Component) -> AbstractionResult:
-    """Abstract a tree component by folding child pairs into their parents.
-
-    Levels are processed bottom-up (depths are frozen at entry).  At level
-    i, any ordinary parent whose l/r children are distinct ordinary nodes
-    absorbs them, gaining both self edges, provided the pair is fully
-    collapsed (no edge connects either child to anything outside the
-    trio).  Without that proviso a merge could orphan a deeper special
-    node and the output would not abstract the input.
-    """
-    _require_layout(c, (Layout.T,), "tree abstraction")
-    _require_valid(c)
-    if not c.nodes:
-        return AbstractionResult(c, _build_witness(c, {}), ())
-
-    depths = depth_map(c)
-    tree_height = height(c)
-    members = set(ordinary_nodes(c))
-    budget = len(members) // 2
-    work = c
-    parent: dict = {}
-    log = []
-    for level in range(tree_height - 1, 0, -1):
-        while True:
-            triples = []
-            left = {}
-            right = {}
-            for e in work.edges:
-                if isinstance(e, TreeEdge) and e.src in members and depths[e.src] == level:
-                    side = left if e.label == "l" else right
-                    side.setdefault(e.src, []).append(e.dst)
-            for a in left.keys() & right.keys():
-                for b in left[a]:
-                    for c2 in right[a]:
-                        if (
-                            len({a, b, c2}) == 3
-                            and b in members
-                            and c2 in members
-                            and _detachable(work, a, b, c2)
-                        ):
-                            triples.append((a, b, c2))
-            if not triples:
-                break
-            a, b, c2 = min(triples)
-            work = remove_nodes_tree(work, b, c2)
-            work = Component(
-                work.layout,
-                work.vars,
-                work.nodes,
-                work.edges | {TreeEdge(a, a, "l"), TreeEdge(a, a, "r")},
-            )
-            parent[b] = a
-            parent[c2] = a
-            members -= {b, c2}
-            log.append(MergeEvent(a, (b, c2)))
-    assert len(log) <= budget, "tree abstraction exceeded its merge bound"
-    return AbstractionResult(work, _build_witness(c, parent), tuple(log))
+    """Abstract a tree component by folding child pairs into their parents."""
+    _require_layout(c, Layout.T, "tree abstraction")
+    return abstract_component(c)
 
 
 def abstract_dag(c: Component) -> AbstractionResult:
     """Abstract a DAG component by collapsing reference-similar groups.
 
     Each multi-node group keeps its smallest member, which gains a self
-    edge; the rest are deleted along with their edges.  Because group
-    members share predecessor and successor sets, every deleted edge's
-    image survives on the kept member.
+    edge.  Because group members share predecessor and successor sets,
+    every edge of a removed member has its image on the kept member.
     """
-    _require_layout(c, (Layout.DAG,), "DAG abstraction")
-    _require_valid(c)
-
-    partition = ref_similar_dag(c)
-    nodes = set(c.nodes)
-    edges = set(c.edges)
-    parent: dict = {}
-    log = []
-    for group in partition.groups:
-        if len(group) < 2:
-            continue
-        members = sorted(group)
-        keeper, rest = members[0], members[1:]
-        gone = set(rest)
-        nodes -= gone
-        edges = {
-            e
-            for e in edges
-            if isinstance(e, VarEdge) or (e.src not in gone and e.dst not in gone)
-        }
-        edges.add(NodeEdge(keeper, keeper))
-        for r in rest:
-            parent[r] = keeper
-        log.append(MergeEvent(keeper, tuple(rest)))
-    removed = sum(len(ev.removed) for ev in log)
-    assert removed <= len(ordinary_nodes(c)) - len(partition.groups), (
-        "DAG abstraction exceeded its merge bound"
-    )
-    output = Component(c.layout, c.vars, frozenset(nodes), frozenset(edges))
-    return AbstractionResult(output, _build_witness(c, parent), tuple(log))
-
-
-_ABSTRACTORS = {
-    Layout.SLL: abstract_sll,
-    Layout.T: abstract_tree,
-    Layout.C: abstract_cycle,
-    Layout.DAG: abstract_dag,
-}
-
-
-def abstract_component(c: Component) -> AbstractionResult:
-    """Abstract one component, dispatching on its layout."""
-    return _ABSTRACTORS[c.layout](c)
+    _require_layout(c, Layout.DAG, "DAG abstraction")
+    return abstract_component(c)
 
 
 def heap_abstract_results(h: Heap) -> list:
     """Abstract every component of a heap, keeping the detailed results.
 
-    All components are validated up front; the first invalid one aborts
-    the run with its index attached.
+    The first invalid component aborts the run with its index attached.
     """
+    results = []
     for i, comp in enumerate(h.components):
-        violations = validate_component(comp)
+        violations, result = validate_and_abstract(comp)
         if violations:
             raise InvalidComponentError(violations, index=i)
-    return [abstract_component(comp) for comp in h.components]
+        results.append(result)
+    return results
 
 
 def heap_abstract(h: Heap) -> tuple:

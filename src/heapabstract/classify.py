@@ -14,16 +14,14 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .errors import LayoutMismatchError, SameNodeError, UnknownNodeError
+from .errors import SameNodeError, UnknownNodeError
 from .model import (
     Component,
+    ComponentIndex,
     Layout,
     NodeEdge,
     TreeEdge,
-    VarEdge,
-    depth_map,
-    edges_in,
-    edges_out,
+    _require_layout,
 )
 
 
@@ -47,10 +45,6 @@ class NodeClass:
     @property
     def special(self) -> bool:
         return bool(self.reasons)
-
-    @property
-    def tag(self) -> str:
-        return "Special" if self.reasons else "Ordinary"
 
 
 @dataclass(frozen=True)
@@ -77,45 +71,25 @@ def _classes(c: Component, reasons_by_node: dict) -> dict:
     }
 
 
-def _require_layout(c: Component, layout: Layout, what: str):
-    if c.layout is not layout:
-        raise LayoutMismatchError(
-            f"{what} applies to {layout.value} components, not {c.layout.value}"
-        )
+def _mark_back_edges(index: ComponentIndex, reasons: dict):
+    # Lists: both endpoints of an edge from a strictly deeper node to a
+    # shallower one.
+    depths = index.depth_map()
+    for edges in index.out.values():
+        for e in edges:
+            if isinstance(e, NodeEdge) and depths[e.src] > depths[e.dst]:
+                reasons[e.src].add(Reason.BACK_EDGE_ENDPOINT)
+                reasons[e.dst].add(Reason.BACK_EDGE_ENDPOINT)
 
 
-def special_nodes_sll(c: Component) -> dict:
-    """Classify the nodes of a list component.
-
-    Special nodes are the variable-pointed ones and both endpoints of any
-    back edge (an edge from a strictly deeper node to a shallower one).
-    """
-    _require_layout(c, Layout.SLL, "list classification")
-    depths = depth_map(c)
-    reasons = defaultdict(set)
-    for e in c.edges:
-        if isinstance(e, VarEdge):
-            reasons[e.target].add(Reason.VAR_POINTED)
-        elif isinstance(e, NodeEdge) and depths[e.src] > depths[e.dst]:
-            reasons[e.src].add(Reason.BACK_EDGE_ENDPOINT)
-            reasons[e.dst].add(Reason.BACK_EDGE_ENDPOINT)
-    return _classes(c, reasons)
-
-
-def special_nodes_tree(c: Component) -> dict:
-    """Classify the nodes of a tree component.
-
-    Beyond variable targets, both endpoints of any labeled edge between
-    distinct nodes that does not descend (equal depth: horizontal edge,
-    decreasing depth: back edge) are special.
-    """
-    _require_layout(c, Layout.T, "tree classification")
-    depths = depth_map(c)
-    reasons = defaultdict(set)
-    for e in c.edges:
-        if isinstance(e, VarEdge):
-            reasons[e.target].add(Reason.VAR_POINTED)
-        elif isinstance(e, TreeEdge) and e.src != e.dst:
+def _mark_non_descending(index: ComponentIndex, reasons: dict):
+    # Trees: both endpoints of a labeled edge between distinct nodes that
+    # goes back up (back edge) or stays at the same depth (horizontal).
+    depths = index.depth_map()
+    for edges in index.out.values():
+        for e in edges:
+            if not isinstance(e, TreeEdge):
+                continue
             if depths[e.src] > depths[e.dst]:
                 reason = Reason.BACK_EDGE_ENDPOINT
             elif depths[e.src] == depths[e.dst]:
@@ -124,48 +98,47 @@ def special_nodes_tree(c: Component) -> dict:
                 continue
             reasons[e.src].add(reason)
             reasons[e.dst].add(reason)
-    return _classes(c, reasons)
 
 
-def special_nodes_cycle(c: Component) -> dict:
-    """Classify the nodes of a cycle component.
-
-    Branch points, nodes with more than one entering or leaving edge, are
-    special along with variable targets.  Self edges count as neither
-    entering nor leaving.
-    """
-    _require_layout(c, Layout.C, "cycle classification")
-    reasons = defaultdict(set)
-    for e in c.var_edges():
-        reasons[e.target].add(Reason.VAR_POINTED)
-    for n in c.nodes:
-        if len(edges_in(c, (n,))) > 1:
+def _mark_branch_points(index: ComponentIndex, reasons: dict):
+    # Cycles: nodes with more than one entering or leaving edge; self
+    # edges count as neither.
+    for n in index.component.nodes:
+        if len(index.into[n]) > 1:
             reasons[n].add(Reason.MULTI_IN)
-        if len(edges_out(c, (n,))) > 1:
+        if len(index.out[n]) > 1:
             reasons[n].add(Reason.MULTI_OUT)
-    return _classes(c, reasons)
 
 
-def special_nodes_dag(c: Component) -> dict:
-    """Classify the nodes of a DAG component: only variable targets are special."""
-    _require_layout(c, Layout.DAG, "DAG classification")
-    reasons = defaultdict(set)
-    for e in c.var_edges():
-        reasons[e.target].add(Reason.VAR_POINTED)
-    return _classes(c, reasons)
-
-
-_CLASSIFIERS = {
-    Layout.SLL: special_nodes_sll,
-    Layout.T: special_nodes_tree,
-    Layout.C: special_nodes_cycle,
-    Layout.DAG: special_nodes_dag,
+# DAGs have no layout rule: only their variable targets are special.
+_LAYOUT_RULES = {
+    Layout.SLL: _mark_back_edges,
+    Layout.T: _mark_non_descending,
+    Layout.C: _mark_branch_points,
 }
 
 
-def node_classes(c: Component) -> dict:
-    """Classify every node, dispatching on the component layout."""
-    return _CLASSIFIERS[c.layout](c)
+def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
+    """Classify every node by the rules of the component's layout.
+
+    Every variable target is special.  Lists also single out both
+    endpoints of any back edge (from a strictly deeper node to a
+    shallower one); trees both endpoints of any labeled edge between
+    distinct nodes that does not descend (back or horizontal edge);
+    cycles their branch points, nodes with more than one entering or
+    leaving edge, self edges counting as neither.  DAGs have no further
+    special nodes.  ``index`` is the component's :class:`ComponentIndex`
+    when the caller has already built it.
+    """
+    index = index or ComponentIndex(c)
+    reasons = defaultdict(set)
+    for n, variables in index.pointed.items():
+        if variables:
+            reasons[n].add(Reason.VAR_POINTED)
+    rule = _LAYOUT_RULES.get(c.layout)
+    if rule:
+        rule(index, reasons)
+    return _classes(c, reasons)
 
 
 def ordinary_nodes(c: Component) -> frozenset:
@@ -173,24 +146,20 @@ def ordinary_nodes(c: Component) -> frozenset:
     return frozenset(n for n, k in node_classes(c).items() if not k.special)
 
 
-def _adjacency(c: Component) -> tuple:
-    pred_sets = defaultdict(set)
-    succ_sets = defaultdict(set)
-    pairs = set()
-    for e in c.edges:
-        if isinstance(e, NodeEdge):
-            pairs.add((e.src, e.dst))
-            succ_sets[e.src].add(e.dst)
-            pred_sets[e.dst].add(e.src)
-    preds = {n: frozenset(pred_sets[n]) for n in c.nodes}
-    succs = {n: frozenset(succ_sets[n]) for n in c.nodes}
-    return pairs, preds, succs
+def _neighbourhood(index: ComponentIndex, n: str) -> tuple:
+    # Predecessor and successor sets over node edges, a self edge making
+    # the node its own neighbour.
+    loop = {n} if index.loops[n] else set()
+    preds = frozenset(e.src for e in index.into[n]).union(loop)
+    succs = frozenset(e.dst for e in index.out[n]).union(loop)
+    return preds, succs
 
 
-def _similar(pairs, preds, succs, a: str, b: str) -> bool:
-    if (a, b) in pairs or (b, a) in pairs:
+def _similar(index: ComponentIndex, a: str, b: str) -> bool:
+    key = _neighbourhood(index, a)
+    if b in key[0] or b in key[1]:
         return False
-    return preds[a] == preds[b] and succs[a] == succs[b]
+    return key == _neighbourhood(index, b)
 
 
 def reference_similar(c: Component, a: str, b: str) -> bool:
@@ -203,11 +172,7 @@ def reference_similar(c: Component, a: str, b: str) -> bool:
     _require_layout(c, Layout.DAG, "reference similarity")
     if a == b:
         raise SameNodeError(f"reference similarity needs two distinct nodes, got {a}")
-    unknown = {a, b} - c.nodes
-    if unknown:
-        raise UnknownNodeError(f"undeclared nodes: {sorted(unknown)}")
-    pairs, preds, succs = _adjacency(c)
-    return _similar(pairs, preds, succs, a, b)
+    return reference_similar_set(c, (a, b))
 
 
 def reference_similar_set(c: Component, region: Iterable) -> bool:
@@ -217,30 +182,30 @@ def reference_similar_set(c: Component, region: Iterable) -> bool:
     unknown = members - c.nodes
     if unknown:
         raise UnknownNodeError(f"undeclared nodes: {sorted(unknown)}")
-    pairs, preds, succs = _adjacency(c)
-    return all(
-        _similar(pairs, preds, succs, a, b) for a, b in combinations(sorted(members), 2)
-    )
+    index = ComponentIndex(c)
+    return all(_similar(index, a, b) for a, b in combinations(sorted(members), 2))
+
+
+def similarity_groups(index: ComponentIndex, ordinary) -> list:
+    """Group ordinary DAG nodes by their (predecessors, successors) pair.
+
+    Each group is sorted and the groups are ordered by smallest member.
+    In a valid DAG two nodes with equal neighbourhoods are never joined
+    by an edge (an edge a->b would force b->a, a 2-cycle), so every group
+    is reference similar and no two groups could be joined.
+    """
+    groups: dict = {}
+    for n in sorted(ordinary):
+        groups.setdefault(_neighbourhood(index, n), []).append(n)
+    return list(groups.values())
 
 
 def ref_similar_dag(c: Component) -> SimilarityPartition:
-    """Partition a DAG's ordinary nodes into reference-similar groups.
+    """Partition a valid DAG's ordinary nodes into reference-similar groups.
 
-    Seeds are picked in ascending node order; each remaining candidate
-    joins the current group only if it is similar to every member, so the
-    result is reference similar by construction.
+    Groups appear in ascending order of their smallest member.
     """
     _require_layout(c, Layout.DAG, "similarity partitioning")
-    pairs, preds, succs = _adjacency(c)
-    remaining = sorted(ordinary_nodes(c))
-    groups = []
-    while remaining:
-        seed = remaining[0]
-        group = [seed]
-        for b in remaining[1:]:
-            if all(_similar(pairs, preds, succs, x, b) for x in group):
-                group.append(b)
-        groups.append(frozenset(group))
-        taken = set(group)
-        remaining = [n for n in remaining if n not in taken]
-    return SimilarityPartition(tuple(groups))
+    index = ComponentIndex(c)
+    ordinary = [n for n, k in node_classes(c, index).items() if not k.special]
+    return SimilarityPartition(tuple(similarity_groups(index, ordinary)))

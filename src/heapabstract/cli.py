@@ -16,11 +16,12 @@ import argparse
 import sys
 
 from . import __version__
-from .abstraction import heap_abstract_results
+from .abstraction import validate_and_abstract
 from .classify import node_classes
 from .errors import (
     BudgetExceededError,
     DocumentError,
+    InternalInvariantError,
     InvalidComponentError,
 )
 from .formats import (
@@ -71,18 +72,22 @@ def _print_validation(findings, stream):
 
 def _cmd_abstract(args) -> int:
     heap = _load_heap(args.heap)
-    findings = _validate_heap(heap)
+    findings, results = [], []
+    for i, comp in enumerate(heap.components):
+        violations, result = validate_and_abstract(comp)
+        findings.extend((i, v) for v in violations)
+        results.append(result)
     if findings:
         _print_validation(findings, sys.stderr)
         return INPUT_ERROR
-    results = heap_abstract_results(heap)
     out_heap = Heap(tuple(r.output for r in results))
 
     # The produced certificates are re-checked before anything is written;
     # a failure here is a bug in the abstractor, not in the input.
     for i, r in enumerate(results):
         bad = check_valid_abstraction(heap.components[i], r.output, r.witness)
-        assert not bad, f"component {i} produced an invalid witness: {bad}"
+        if bad:
+            raise InternalInvariantError(f"component {i} produced an invalid witness: {bad}")
 
     if args.stats:
         for i, r in enumerate(results):
@@ -237,6 +242,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc.code}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except Exception as exc:  # noqa: BLE001  - anything else is a bug in us
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

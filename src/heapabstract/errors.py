@@ -39,6 +39,12 @@ class DomainMismatchError(HeapAbstractError):
     code = "DomainMismatch"
 
 
+class InternalInvariantError(HeapAbstractError):
+    """The library broke one of its own guarantees: a bug, not an input problem."""
+
+    code = "InternalInvariant"
+
+
 class InvalidComponentError(HeapAbstractError):
     """A component failed validation where a valid one was required."""
 

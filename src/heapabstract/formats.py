@@ -26,6 +26,7 @@ from .model import (
     VarEdge,
     _token_ok,
     edge_sort_key,
+    first_id_clash,
 )
 from .witness import Witness
 
@@ -47,6 +48,8 @@ def _load_json(text: str):
         raise ParseError(
             "InvalidJson", exc.msg, f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError:
+        raise ParseError("InvalidJson", "nesting too deep") from None
 
 
 def _require_object(value, path: str, keys: tuple) -> dict:
@@ -160,19 +163,13 @@ def parse_heap(text: str) -> Heap:
     components = [
         _parse_component(doc, f"$.components[{i}]") for i, doc in enumerate(docs)
     ]
-    seen_nodes: set = set()
-    seen_vars: set = set()
-    for i, comp in enumerate(components):
-        path = f"$.components[{i}]"
-        clash = seen_nodes & comp.nodes
-        if clash:
-            raise ModelError("IdClash", f"node ids reused across components: {sorted(clash)}", path)
-        clash = seen_vars & comp.vars
-        if clash:
-            raise ModelError("IdClash", f"variable ids reused across components: {sorted(clash)}", path)
-        seen_nodes |= comp.nodes
-        seen_vars |= comp.vars
-    return Heap(tuple(components))
+    try:
+        return Heap(tuple(components))
+    except ValueError:  # the only check Heap makes: ids reused across components
+        i, kind, ids = first_id_clash(components)
+        raise ModelError(
+            "IdClash", f"{kind} ids reused across components: {ids}", f"$.components[{i}]"
+        ) from None
 
 
 def _component_doc(c: Component) -> dict:

@@ -122,6 +122,22 @@ class Component:
         return frozenset(e for e in self.edges if not isinstance(e, VarEdge))
 
 
+def first_id_clash(components) -> tuple | None:
+    """The first identifier reused across components, as (index, kind, ids).
+
+    ``kind`` is "node" or "variable"; ``ids`` are the clashing identifiers,
+    sorted.  None when the components are pairwise disjoint.
+    """
+    seen = {"node": set(), "variable": set()}
+    for i, comp in enumerate(components):
+        for kind, ids in (("node", comp.nodes), ("variable", comp.vars)):
+            clash = seen[kind] & ids
+            if clash:
+                return i, kind, sorted(clash)
+            seen[kind] |= ids
+    return None
+
+
 @dataclass(frozen=True)
 class Heap:
     """Ordered finite collection of disjoint components."""
@@ -130,21 +146,10 @@ class Heap:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        seen_nodes: set = set()
-        seen_vars: set = set()
-        for i, comp in enumerate(self.components):
-            node_clash = seen_nodes & comp.nodes
-            var_clash = seen_vars & comp.vars
-            if node_clash:
-                raise ValueError(
-                    f"node ids reused across components (component {i}): {sorted(node_clash)}"
-                )
-            if var_clash:
-                raise ValueError(
-                    f"variable ids reused across components (component {i}): {sorted(var_clash)}"
-                )
-            seen_nodes |= comp.nodes
-            seen_vars |= comp.vars
+        clash = first_id_clash(self.components)
+        if clash:
+            i, kind, ids = clash
+            raise ValueError(f"{kind} ids reused across components (component {i}): {ids}")
 
 
 @dataclass(frozen=True)
@@ -187,9 +192,98 @@ def edges_out(c: Component, r: Iterable) -> frozenset:
     )
 
 
-def lift_concrete(h: Heap) -> Heap:
-    """Read a concrete heap as an abstract one (identity embedding)."""
-    return Heap(h.components)
+class ComponentIndex:
+    """Adjacency of one component, built in one pass over its edges.
+
+    Validation, classification and abstraction all read the same index,
+    so a component is scanned once however many of them run.  It is not
+    cached on the component: build it for one component and drop it when
+    that component is done.
+
+    Pointer edges are split into ``out``/``into`` lists (non-self edges by
+    source and by target, so ``len`` gives the non-self degrees) and
+    ``loops`` (self edges).  ``pointed`` lists the variables pointing at
+    each node.  Edges with an undeclared endpoint stay out of the
+    adjacency and are kept in ``undeclared``; edges whose kind does not
+    suit the layout are kept in ``mismatched``.  ``depths`` holds the BFS
+    depth of every node reachable from the entries, for list and tree
+    layouts only.
+    """
+
+    def __init__(self, c: Component):
+        self.component = c
+        nodes = c.nodes
+        self.out = {n: [] for n in nodes}
+        self.into = {n: [] for n in nodes}
+        self.loops = {n: [] for n in nodes}
+        self.pointed = {n: [] for n in nodes}
+        self.undeclared = []
+        self.mismatched = []
+        is_tree = c.layout is Layout.T
+        for e in c.edges:
+            if isinstance(e, VarEdge):
+                if e.target in nodes:
+                    self.pointed[e.target].append(e.var)
+                if e.var not in c.vars or e.target not in nodes:
+                    self.undeclared.append(e)
+                continue
+            if isinstance(e, TreeEdge) is not is_tree:
+                self.mismatched.append(e)
+            if e.src not in nodes or e.dst not in nodes:
+                self.undeclared.append(e)
+            elif e.src == e.dst:
+                self.loops[e.src].append(e)
+            else:
+                self.out[e.src].append(e)
+                self.into[e.dst].append(e)
+        # A self edge marks a collapsed region and never costs a node its
+        # entry status; with no in-degree-0 node, variable targets serve.
+        self.entries = frozenset(n for n in nodes if not self.into[n]) or frozenset(
+            n for n in nodes if self.pointed[n]
+        )
+        self.depths = self._bfs_depths() if c.layout in (Layout.SLL, Layout.T) else None
+
+    def _bfs_depths(self) -> dict:
+        depths = {n: 0 for n in self.entries}
+        queue = deque(sorted(depths))
+        while queue:
+            n = queue.popleft()
+            for e in self.out[n]:
+                if e.dst not in depths:
+                    depths[e.dst] = depths[n] + 1
+                    queue.append(e.dst)
+        return depths
+
+    def depth_map(self) -> dict:
+        """``depths``, raising when some node is unreachable from the entries."""
+        missing = self.component.nodes - self.depths.keys()
+        if missing:
+            raise UnreachableNodeError(f"nodes unreachable from entries: {sorted(missing)}")
+        return self.depths
+
+    def cyclic_nodes(self) -> set:
+        """Nodes that survive repeated removal of nodes with no non-self in-edge.
+
+        Nonempty exactly when the non-self edges contain a directed cycle.
+        """
+        indegree = {n: len(es) for n, es in self.into.items()}
+        queue = deque(n for n, k in indegree.items() if k == 0)
+        remaining = set(indegree)
+        while queue:
+            n = queue.popleft()
+            remaining.discard(n)
+            for e in self.out[n]:
+                indegree[e.dst] -= 1
+                if indegree[e.dst] == 0:
+                    queue.append(e.dst)
+        return remaining
+
+
+def _require_layout(c: Component, layout: Layout, what: str):
+    if c.layout is not layout:
+        raise LayoutMismatchError(
+            f"{what} applies to {layout.value} components, not {c.layout.value}"
+        )
 
 
 def entry_nodes(c: Component) -> frozenset:
@@ -201,26 +295,7 @@ def entry_nodes(c: Component) -> frozenset:
     edge marks a collapsed region and never costs a node its entry
     status.
     """
-    with_incoming = {e.dst for e in c.node_edges() if e.src != e.dst}
-    indeg0 = c.nodes - with_incoming
-    if indeg0:
-        return frozenset(indeg0)
-    return frozenset(e.target for e in c.var_edges() if e.target in c.nodes)
-
-
-def _bfs_depths(c: Component) -> dict:
-    adjacency: dict = {n: [] for n in c.nodes}
-    for e in c.node_edges():
-        adjacency[e.src].append(e.dst)
-    depths = {n: 0 for n in entry_nodes(c)}
-    queue = deque(sorted(depths))
-    while queue:
-        n = queue.popleft()
-        for m in adjacency[n]:
-            if m not in depths:
-                depths[m] = depths[n] + 1
-                queue.append(m)
-    return depths
+    return ComponentIndex(c).entries
 
 
 def depth_map(c: Component) -> dict:
@@ -234,13 +309,7 @@ def depth_map(c: Component) -> dict:
         raise LayoutMismatchError(
             f"depth is defined for SLL and T components, not {c.layout.value}"
         )
-    depths = _bfs_depths(c)
-    missing = c.nodes - depths.keys()
-    if missing:
-        raise UnreachableNodeError(
-            f"nodes unreachable from entries: {sorted(missing)}"
-        )
-    return depths
+    return ComponentIndex(c).depth_map()
 
 
 def height(c: Component) -> int:
@@ -252,30 +321,7 @@ def height(c: Component) -> int:
     return max(depth_map(c).values())
 
 
-def _kahn_leftover(nodes: frozenset, arcs: list) -> set:
-    """Nodes that survive repeated removal of in-degree-0 nodes.
-
-    Nonempty result means the arc set contains a directed cycle through
-    exactly those nodes.
-    """
-    indegree = {n: 0 for n in nodes}
-    out: dict = {n: [] for n in nodes}
-    for src, dst in arcs:
-        indegree[dst] += 1
-        out[src].append(dst)
-    queue = deque(n for n in nodes if indegree[n] == 0)
-    remaining = set(nodes)
-    while queue:
-        n = queue.popleft()
-        remaining.discard(n)
-        for m in out[n]:
-            indegree[m] -= 1
-            if indegree[m] == 0:
-                queue.append(m)
-    return remaining
-
-
-def validate_component(c: Component) -> list:
+def validate_component(c: Component, index: ComponentIndex | None = None) -> list:
     """Check a component's well-formedness rules, returning all violations.
 
     Checks run in a fixed order: endpoint declaration, edge-kind/layout
@@ -285,104 +331,63 @@ def validate_component(c: Component) -> list:
     undeclared, since the graph cannot be traversed meaningfully.
 
     Self edges mark collapsed regions in abstract components, so they do
-    not count against DAG acyclicity.
+    not count against DAG acyclicity.  ``index`` is the component's
+    :class:`ComponentIndex` when the caller has already built it.
     """
+    index = index or ComponentIndex(c)
     violations: list = []
 
-    sorted_edges = sorted(c.edges, key=edge_sort_key)
-    for e in sorted_edges:
+    def flag(code: str, detail: str):
+        violations.append(Violation(code, detail))
+
+    for e in sorted(index.undeclared, key=edge_sort_key):
         if isinstance(e, VarEdge):
             if e.var not in c.vars:
-                violations.append(
-                    Violation("UndeclaredEndpoint", f"variable {e.var} not declared")
-                )
-            if e.target not in c.nodes:
-                violations.append(
-                    Violation("UndeclaredEndpoint", f"node {e.target} not declared")
-                )
+                flag("UndeclaredEndpoint", f"variable {e.var} not declared")
+            endpoints = (e.target,)
         else:
-            for endpoint in (e.src, e.dst):
-                if endpoint not in c.nodes:
-                    violations.append(
-                        Violation("UndeclaredEndpoint", f"node {endpoint} not declared")
-                    )
-    endpoints_ok = not violations
+            endpoints = (e.src, e.dst)
+        for n in endpoints:
+            if n not in c.nodes:
+                flag("UndeclaredEndpoint", f"node {n} not declared")
 
-    for e in sorted_edges:
-        if isinstance(e, TreeEdge) and c.layout is not Layout.T:
-            violations.append(
-                Violation(
-                    "EdgeKindMismatch",
-                    f"labeled edge ({e.src},{e.dst},{e.label}) in {c.layout.value} component",
-                )
-            )
-        elif isinstance(e, NodeEdge) and c.layout is Layout.T:
-            violations.append(
-                Violation(
-                    "EdgeKindMismatch",
-                    f"unlabeled edge ({e.src},{e.dst}) in T component",
-                )
-            )
+    for e in sorted(index.mismatched, key=edge_sort_key):
+        if isinstance(e, TreeEdge):
+            edge = f"labeled edge ({e.src},{e.dst},{e.label})"
+        else:
+            edge = f"unlabeled edge ({e.src},{e.dst})"
+        flag("EdgeKindMismatch", f"{edge} in {c.layout.value} component")
 
-    if not endpoints_ok:
+    if index.undeclared:
         return violations
 
-    if c.layout in (Layout.SLL, Layout.T):
-        depths = _bfs_depths(c)
+    depths = index.depths
+    if depths is not None:
         for n in sorted(c.nodes - depths.keys()):
-            violations.append(
-                Violation("UnreachableNode", f"node {n} unreachable from entries")
-            )
+            flag("UnreachableNode", f"node {n} unreachable from entries")
 
     if c.layout is Layout.SLL:
         # Singly linked: one next pointer per node.  Self edges stand for
         # collapsed regions and do not count.
-        out_counts: dict = {}
-        for e in c.node_edges():
-            if e.src != e.dst:
-                out_counts[e.src] = out_counts.get(e.src, 0) + 1
-        for n in sorted(n for n, k in out_counts.items() if k > 1):
-            violations.append(
-                Violation(
-                    "BranchingList",
-                    f"node {n} has {out_counts[n]} outgoing edges",
-                )
-            )
+        for n in sorted(n for n, es in index.out.items() if len(es) > 1):
+            flag("BranchingList", f"node {n} has {len(index.out[n])} outgoing edges")
 
     if c.layout is Layout.DAG:
-        arcs = [(e.src, e.dst) for e in c.node_edges() if e.src != e.dst]
-        leftover = _kahn_leftover(c.nodes, arcs)
+        leftover = index.cyclic_nodes()
         if leftover:
-            violations.append(
-                Violation("CycleInDag", f"cycle through nodes {sorted(leftover)}")
-            )
+            flag("CycleInDag", f"cycle through nodes {sorted(leftover)}")
 
-    if c.layout is Layout.C:
-        has_self = any(e.src == e.dst for e in c.node_edges())
-        arcs = [(e.src, e.dst) for e in c.node_edges() if e.src != e.dst]
-        if not has_self and not _kahn_leftover(c.nodes, arcs):
-            violations.append(
-                Violation("MissingCycle", "no directed cycle among node edges")
-            )
+    if c.layout is Layout.C and not any(index.loops.values()) and not index.cyclic_nodes():
+        flag("MissingCycle", "no directed cycle among node edges")
 
     if c.layout is Layout.T:
-        depths = _bfs_depths(c)
-        entries = entry_nodes(c)
-        tree_in: dict = {n: [] for n in c.nodes}
-        for e in c.edges:
-            if isinstance(e, TreeEdge):
-                tree_in[e.dst].append(e.src)
         for n in sorted(c.nodes):
-            if n in entries or n not in depths:
+            if n in index.entries or n not in depths:
                 continue
             if not any(
-                src in depths and depths[src] < depths[n] for src in tree_in[n]
+                isinstance(e, TreeEdge) and e.src in depths and depths[e.src] < depths[n]
+                for e in index.into[n]
             ):
-                violations.append(
-                    Violation(
-                        "MissingTreeParent",
-                        f"node {n} has no labeled edge from a shallower node",
-                    )
-                )
+                flag("MissingTreeParent", f"node {n} has no labeled edge from a shallower node")
 
     return violations

@@ -10,11 +10,13 @@ produced it is required.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, DomainMismatchError
 from .model import (
     Component,
+    ComponentIndex,
     Edge,
     NodeEdge,
     TreeEdge,
@@ -215,19 +217,9 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
             del assignment[src_nodes[i]]
 
     def accept():
-        if any(use_count[t] == 0 for t in tgt_nodes):
-            return None
         node_map = dict(assignment)
-        edge_map = {e: map_edge(e, node_map) for e in source.edges}
-        covered = set(edge_map.values())
-        preimage_counts: dict = {}
-        for t in node_map.values():
-            preimage_counts[t] = preimage_counts.get(t, 0) + 1
-        for e in target.edges - covered:
-            if _is_self_edge(e) and preimage_counts.get(e.src, 0) >= 2:
-                continue
-            return None
-        return Witness(node_map, edge_map)
+        w = Witness(node_map, {e: map_edge(e, node_map) for e in source.edges})
+        return None if check_valid_abstraction(source, target, w) else w
 
     def search(i: int):
         if i == len(src_nodes):
@@ -251,90 +243,102 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
     return search(0)
 
 
-def _node_signature(c: Component, n: str) -> tuple:
-    pointing = []
-    out_counts: dict = {}
-    in_counts: dict = {}
-    self_labels = []
-    for e in c.edges:
-        if isinstance(e, VarEdge):
-            if e.target == n:
-                pointing.append(e.var)
-            continue
-        label = e.label if isinstance(e, TreeEdge) else "n"
-        if e.src == n and e.dst == n:
-            self_labels.append(label)
-            continue
-        if e.src == n:
-            out_counts[label] = out_counts.get(label, 0) + 1
-        if e.dst == n:
-            in_counts[label] = in_counts.get(label, 0) + 1
+def _label(e: Edge) -> str:
+    return e.label if isinstance(e, TreeEdge) else "n"
+
+
+def _signature(index: ComponentIndex, n: str) -> tuple:
+    # Pointing variables, out/in edge label counts and self edge labels:
+    # isomorphic nodes have equal signatures.
     return (
-        tuple(sorted(pointing)),
-        tuple(sorted(out_counts.items())),
-        tuple(sorted(in_counts.items())),
-        tuple(sorted(self_labels)),
+        tuple(sorted(index.pointed[n])),
+        tuple(sorted(Counter(map(_label, index.out[n])).items())),
+        tuple(sorted(Counter(map(_label, index.into[n])).items())),
+        tuple(sorted(map(_label, index.loops[n]))),
     )
+
+
+def _neighbours(index: ComponentIndex, n: str) -> set:
+    return {e.dst for e in index.out[n]} | {e.src for e in index.into[n]}
 
 
 def _pair_labels(c: Component) -> dict:
     labels: dict = {}
     for e in c.node_edges():
-        label = e.label if isinstance(e, TreeEdge) else "n"
-        labels.setdefault((e.src, e.dst), set()).add(label)
+        labels.setdefault((e.src, e.dst), set()).add(_label(e))
     return labels
 
 
 def isomorphic(c1: Component, c2: Component) -> bool:
     """Equality of components up to renaming of nodes.
 
-    Variables keep their names, edge labels are preserved.  Backtracking
-    search with degree-signature pruning; meant for the small components
-    this library deals in, not arbitrary graphs.
+    Variables keep their names, edge labels are preserved.  Iterative
+    backtracking with degree-signature pruning: nodes are mapped in
+    breadth-first order from the most constrained one, so each later node
+    neighbours a mapped one (its anchor) and its candidates are the
+    neighbours of the anchor's image.  A candidate is checked against
+    already-mapped neighbours only.
     """
     if c1.layout is not c2.layout or c1.vars != c2.vars:
         return False
     if len(c1.nodes) != len(c2.nodes) or len(c1.edges) != len(c2.edges):
         return False
 
-    sig2: dict = {}
-    for m in c2.nodes:
-        sig2.setdefault(_node_signature(c2, m), []).append(m)
-    candidates = {}
-    for n in c1.nodes:
-        matches = sig2.get(_node_signature(c1, n))
-        if not matches:
-            return False
-        candidates[n] = sorted(matches)
+    index1, index2 = ComponentIndex(c1), ComponentIndex(c2)
+    sig1 = {n: _signature(index1, n) for n in c1.nodes}
+    sig2 = {m: _signature(index2, m) for m in c2.nodes}
+    by_sig: dict = {}
+    for m in sorted(c2.nodes):
+        by_sig.setdefault(sig2[m], []).append(m)
+    if any(sig not in by_sig for sig in sig1.values()):
+        return False
+    labels1, labels2 = _pair_labels(c1), _pair_labels(c2)
 
-    order = sorted(c1.nodes, key=lambda n: (len(candidates[n]), n))
-    labels1 = _pair_labels(c1)
-    labels2 = _pair_labels(c2)
+    order, anchor = [], {}
+    for root in sorted(c1.nodes, key=lambda n: (len(by_sig[sig1[n]]), n)):
+        if root in anchor:
+            continue
+        anchor[root] = None
+        queue = deque([root])
+        while queue:
+            n = queue.popleft()
+            order.append(n)
+            for p in sorted(_neighbours(index1, n) - anchor.keys()):
+                anchor[p] = n
+                queue.append(p)
 
     mapping: dict = {}
-    used: set = set()
+    inverse: dict = {}
+
+    def candidates(n: str) -> list:
+        if anchor[n] is None:
+            return by_sig[sig1[n]]
+        near = _neighbours(index2, mapping[anchor[n]])
+        return sorted(m for m in near if sig2[m] == sig1[n])
 
     def consistent(n: str, m: str) -> bool:
-        for p, q in mapping.items():
-            if labels1.get((n, p)) != labels2.get((m, q)):
-                return False
-            if labels1.get((p, n)) != labels2.get((q, m)):
-                return False
-        return labels1.get((n, n)) == labels2.get((m, m))
+        if m in inverse or labels1.get((n, n)) != labels2.get((m, m)):
+            return False
+        pairs = [(p, mapping[p]) for p in _neighbours(index1, n) if p in mapping]
+        pairs += [(inverse[q], q) for q in _neighbours(index2, m) if q in inverse]
+        return all(
+            labels1.get((n, p)) == labels2.get((m, q))
+            and labels1.get((p, n)) == labels2.get((q, m))
+            for p, q in pairs
+        )
 
-    def search(i: int) -> bool:
-        if i == len(order):
+    stack = [iter(candidates(order[0]))] if order else []
+    while stack:
+        n = order[len(stack) - 1]
+        if n in mapping:
+            del inverse[mapping.pop(n)]
+        m = next((m for m in stack[-1] if consistent(n, m)), None)
+        if m is None:
+            stack.pop()
+            continue
+        mapping[n] = m
+        inverse[m] = n
+        if len(stack) == len(order):
             return True
-        n = order[i]
-        for m in candidates[n]:
-            if m in used or not consistent(n, m):
-                continue
-            mapping[n] = m
-            used.add(m)
-            if search(i + 1):
-                return True
-            used.discard(m)
-            del mapping[n]
-        return False
-
-    return search(0)
+        stack.append(iter(candidates(order[len(stack)])))
+    return not order

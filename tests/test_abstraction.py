@@ -13,6 +13,7 @@ from genheaps import (
     te,
     ve,
 )
+from oracle import remove_node, remove_nodes_tree
 from heapabstract import (
     Heap,
     InvalidComponentError,
@@ -34,8 +35,6 @@ from heapabstract import (
     isomorphic,
     node_classes,
     ordinary_nodes,
-    remove_node,
-    remove_nodes_tree,
     validate_component,
 )
 
@@ -533,3 +532,14 @@ class TestHeapAbstract:
         results = heap_abstract_results(Heap((fig1,)))
         assert len(results) == 1
         assert len(results[0].merge_log) == 4
+
+
+def test_exceeded_merge_bound_is_an_internal_invariant_error(fig1, monkeypatch):
+    from heapabstract import InternalInvariantError, abstraction
+
+    def greedy(index, ordinary):
+        return {n: "h0" for n in ordinary}, [], 0
+
+    monkeypatch.setitem(abstraction._MERGES, Layout.SLL, greedy)
+    with pytest.raises(InternalInvariantError, match="merge bound"):
+        abstract_component(fig1)

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from genheaps import comp, ne, random_component, random_dag, random_relabeling, relabel, te, ve
+from oracle import special_nodes_cycle, special_nodes_dag, special_nodes_sll, special_nodes_tree
 from heapabstract import (
     Layout,
     LayoutMismatchError,
@@ -17,10 +18,6 @@ from heapabstract import (
     ref_similar_dag,
     reference_similar,
     reference_similar_set,
-    special_nodes_cycle,
-    special_nodes_dag,
-    special_nodes_sll,
-    special_nodes_tree,
 )
 
 
@@ -32,7 +29,7 @@ def reasons_of(classes):
 
 class TestSll:
     def test_fig1(self, fig1):
-        classes = special_nodes_sll(fig1)
+        classes = node_classes(fig1)
         assert reasons_of(classes) == {
             "h0": ("VarPointed",),
             "h6": ("BackEdgeEndpoint",),
@@ -42,7 +39,7 @@ class TestSll:
 
     def test_bare_chain_all_ordinary(self):
         c = comp(Layout.SLL, nodes={"a", "b", "c"}, edges={ne("a", "b"), ne("b", "c")})
-        assert all(not k.special for k in special_nodes_sll(c).values())
+        assert all(not k.special for k in node_classes(c).values())
 
     def test_back_edge_to_head(self):
         c = comp(
@@ -51,7 +48,7 @@ class TestSll:
             nodes={"a", "b", "c"},
             edges={ve("v", "a"), ne("a", "b"), ne("b", "c"), ne("c", "a")},
         )
-        classes = special_nodes_sll(c)
+        classes = node_classes(c)
         assert reasons_of(classes) == {
             "a": ("VarPointed", "BackEdgeEndpoint"),
             "c": ("BackEdgeEndpoint",),
@@ -65,7 +62,7 @@ class TestSll:
 
 class TestTree:
     def test_fig2(self, fig2):
-        classes = special_nodes_tree(fig2)
+        classes = node_classes(fig2)
         assert reasons_of(classes) == {
             "h0": ("VarPointed",),
             "h5": ("HorizontalEdgeEndpoint",),
@@ -79,7 +76,7 @@ class TestTree:
             nodes={"r", "a", "b"},
             edges={ve("R", "r"), te("r", "a", "l"), te("r", "b", "r")},
         )
-        assert reasons_of(special_nodes_tree(c)) == {"r": ("VarPointed",)}
+        assert reasons_of(node_classes(c)) == {"r": ("VarPointed",)}
 
     def test_back_edge_leaf_to_root(self):
         nodes = {"r", "a", "b", "c"}
@@ -91,7 +88,7 @@ class TestTree:
             te("c", "r", "l"),
         }
         c = comp(Layout.T, vars={"R"}, nodes=nodes, edges=edges)
-        classes = special_nodes_tree(c)
+        classes = node_classes(c)
         assert classes["c"].reasons == (Reason.BACK_EDGE_ENDPOINT,)
         assert set(classes["r"].reasons) == {Reason.VAR_POINTED, Reason.BACK_EDGE_ENDPOINT}
 
@@ -102,7 +99,7 @@ class TestTree:
             nodes={"r", "a"},
             edges={ve("R", "r"), te("r", "a", "l"), te("a", "a", "l"), te("a", "a", "r")},
         )
-        assert not special_nodes_tree(c)["a"].special
+        assert not node_classes(c)["a"].special
 
     def test_layout_mismatch(self, fig1):
         with pytest.raises(LayoutMismatchError):
@@ -111,7 +108,7 @@ class TestTree:
 
 class TestCycle:
     def test_fig3(self, fig3):
-        classes = special_nodes_cycle(fig3)
+        classes = node_classes(fig3)
         assert reasons_of(classes) == {
             "h0": ("VarPointed",),
             "h1": ("MultiIn",),
@@ -123,12 +120,12 @@ class TestCycle:
         nodes = [f"c{i}" for i in range(4)]
         edges = {ne(nodes[i], nodes[(i + 1) % 4]) for i in range(4)}
         c = comp(Layout.C, nodes=nodes, edges=edges)
-        assert all(not k.special for k in special_nodes_cycle(c).values())
+        assert all(not k.special for k in node_classes(c).values())
 
     def test_chord_makes_branch_points_special(self):
         edges = {ne("a", "b"), ne("b", "c"), ne("c", "a"), ne("a", "c")}
         c = comp(Layout.C, nodes={"a", "b", "c"}, edges=edges)
-        classes = special_nodes_cycle(c)
+        classes = node_classes(c)
         assert classes["a"].reasons == (Reason.MULTI_OUT,)
         assert classes["c"].reasons == (Reason.MULTI_IN,)
         assert not classes["b"].special
@@ -140,17 +137,17 @@ class TestCycle:
 
 class TestDag:
     def test_fig4(self, fig4):
-        classes = special_nodes_dag(fig4)
+        classes = node_classes(fig4)
         assert reasons_of(classes) == {"h0": ("VarPointed",)}
 
     def test_no_vars_all_ordinary(self):
         c = comp(Layout.DAG, nodes={"a", "b"}, edges={ne("a", "b")})
-        assert all(not k.special for k in special_nodes_dag(c).values())
+        assert all(not k.special for k in node_classes(c).values())
 
     def test_diamond_sink_special(self):
         edges = {ne("a", "b"), ne("a", "c"), ne("b", "d"), ne("c", "d"), ve("v", "d")}
         c = comp(Layout.DAG, vars={"v"}, nodes={"a", "b", "c", "d"}, edges=edges)
-        assert reasons_of(special_nodes_dag(c)) == {"d": ("VarPointed",)}
+        assert reasons_of(node_classes(c)) == {"d": ("VarPointed",)}
 
     def test_layout_mismatch(self, fig2):
         with pytest.raises(LayoutMismatchError):

@@ -1,9 +1,14 @@
 """Tests for the command-line front end and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heapabstract
 from conftest import FIXTURE_DIR
 from heapabstract.cli import run
 
@@ -52,6 +57,40 @@ class TestAbstract:
     def test_invalid_component(self, capsys):
         assert run(["abstract", BROKEN]) == 2
         assert "EdgeKindMismatch" in capsys.readouterr().err
+
+    def test_invalid_witness_fails_under_optimize(self, tmp_path):
+        # The pre-write witness re-check must not be an assert, which
+        # python -O strips.
+        out = tmp_path / "out.json"
+        script = (
+            "import dataclasses, sys\n"
+            "from heapabstract import Witness, cli\n"
+            "real = cli.validate_and_abstract\n"
+            "def broken(c):\n"
+            "    violations, result = real(c)\n"
+            "    return violations, dataclasses.replace(result, witness=Witness({}, {}))\n"
+            "cli.validate_and_abstract = broken\n"
+            f"sys.exit(cli.run(['abstract', {FIG1!r}, '--out', {str(out)!r}]))\n"
+        )
+        src = str(Path(heapabstract.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert "InternalInvariant" in proc.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "abstract", "check-witness"])
+def test_deeply_nested_json_is_an_input_error(command, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = [command, str(deep)]
+    if command == "check-witness":
+        argv = [command, FIG1, FIG1, str(deep)]
+    assert run(argv) == 2
+    assert "nesting too deep" in capsys.readouterr().err
 
 
 class TestCheckWitness:

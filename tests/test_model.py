@@ -21,7 +21,6 @@ from heapabstract import (
     edges_out,
     entry_nodes,
     height,
-    lift_concrete,
     region_edges,
     validate_component,
 )
@@ -133,22 +132,6 @@ class TestRegionOps:
             e for e in c.node_edges() if e.src in members or e.dst in members
         )
         assert inside | entering | leaving == touching
-
-
-class TestLiftConcrete:
-    def test_identity_on_fixture(self, fig1):
-        h = Heap((fig1,))
-        assert lift_concrete(h) == h
-
-    def test_identity_on_empty_heap(self):
-        assert lift_concrete(Heap(())) == Heap(())
-
-    def test_component_list_preserved(self, fig1, fig2):
-        from genheaps import random_relabeling, relabel
-
-        other = relabel(fig2, random_relabeling(random.Random(0), fig2))
-        h = Heap((fig1, other))
-        assert lift_concrete(h).components == h.components
 
 
 class TestDepth:

@@ -331,3 +331,16 @@ class TestIsomorphic:
             fig1.layout, fig1.vars, fig1.nodes, fig1.edges - {ne("h0", "h1")}
         )
         assert not isomorphic(fig1, smaller)
+
+    def test_long_list_without_recursion(self):
+        # 3,000 nodes is deeper than the default recursion limit allows
+        # a node-per-frame search to go.
+        def chain(pointed):
+            nodes = [f"n{i}" for i in range(3000)]
+            edges = {ne(nodes[i], nodes[i + 1]) for i in range(2999)}
+            return comp(Layout.SLL, {"v"}, nodes, edges | {ve("v", nodes[pointed])})
+
+        c = chain(0)
+        assert isomorphic(c, c)
+        assert isomorphic(c, chain(0))
+        assert not isomorphic(c, chain(1))
