@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 
 from .errors import ModelError, ParseError, SchemaError
 from .model import (
@@ -24,6 +25,7 @@ from .model import (
     NodeEdge,
     TreeEdge,
     VarEdge,
+    _TOKEN,
     _token_ok,
     edge_sort_key,
     first_id_clash,
@@ -80,6 +82,12 @@ def _parse_token(value, path: str) -> str:
 
 def _parse_id_list(value, path: str) -> list:
     items = _require_list(value, path)
+    # Fast path: distinct valid tokens; anything else is diagnosed below.
+    try:
+        if len(set(items)) == len(items) and all(map(_TOKEN.match, items)):
+            return items
+    except TypeError:  # an unhashable or non-string item
+        pass
     seen = set()
     out = []
     for i, item in enumerate(items):
@@ -89,6 +97,49 @@ def _parse_id_list(value, path: str) -> list:
         seen.add(token)
         out.append(token)
     return out
+
+
+def _declared(ident, ids: set) -> bool:
+    # Declared ids are valid tokens, so membership also proves the token.
+    try:
+        return ident in ids
+    except TypeError:  # unhashable
+        return False
+
+
+def _parse_var_edge(entry, epath: str, var_set: set, node_set: set) -> VarEdge:
+    pair = _require_list(entry, epath)
+    if len(pair) != 2:
+        raise SchemaError("EdgeKindMismatch", "variable edge must be [var, node]", epath)
+    var = _parse_token(pair[0], f"{epath}[0]")
+    target = _parse_token(pair[1], f"{epath}[1]")
+    if var not in var_set:
+        raise SchemaError("UnknownVariable", f"undeclared variable {var}", epath)
+    if target not in node_set:
+        raise SchemaError("UnknownNode", f"undeclared node {target}", epath)
+    return VarEdge(var, target)
+
+
+def _parse_node_edge(entry, epath: str, layout: Layout, node_set: set) -> Edge:
+    arity = 3 if layout is Layout.T else 2
+    parts = _require_list(entry, epath)
+    if len(parts) != arity:
+        raise SchemaError(
+            "EdgeKindMismatch",
+            f"{layout.value} node edge must have {arity} elements, got {len(parts)}",
+            epath,
+        )
+    src = _parse_token(parts[0], f"{epath}[0]")
+    dst = _parse_token(parts[1], f"{epath}[1]")
+    for endpoint in (src, dst):
+        if endpoint not in node_set:
+            raise SchemaError("UnknownNode", f"undeclared node {endpoint}", epath)
+    if layout is Layout.T:
+        label = parts[2]
+        if label not in ("l", "r"):
+            raise SchemaError("BadLabel", f"label must be 'l' or 'r', got {label!r}", epath)
+        return TreeEdge(src, dst, label)
+    return NodeEdge(src, dst)
 
 
 def _parse_component(doc, path: str) -> Component:
@@ -115,42 +166,36 @@ def _parse_component(doc, path: str) -> Component:
         )
     var_set, node_set = set(variables), set(nodes)
 
+    # Well-formed edges between declared ids are taken as they are; any
+    # other entry goes through the checks that name its error and location.
     edges: set = set()
     for i, entry in enumerate(_require_list(obj["var_edges"], f"{path}.var_edges")):
-        epath = f"{path}.var_edges[{i}]"
-        pair = _require_list(entry, epath)
-        if len(pair) != 2:
-            raise SchemaError("EdgeKindMismatch", "variable edge must be [var, node]", epath)
-        var = _parse_token(pair[0], f"{epath}[0]")
-        target = _parse_token(pair[1], f"{epath}[1]")
-        if var not in var_set:
-            raise SchemaError("UnknownVariable", f"undeclared variable {var}", epath)
-        if target not in node_set:
-            raise SchemaError("UnknownNode", f"undeclared node {target}", epath)
-        edges.add(VarEdge(var, target))
-
-    arity = 3 if layout is Layout.T else 2
-    for i, entry in enumerate(_require_list(obj["node_edges"], f"{path}.node_edges")):
-        epath = f"{path}.node_edges[{i}]"
-        parts = _require_list(entry, epath)
-        if len(parts) != arity:
-            raise SchemaError(
-                "EdgeKindMismatch",
-                f"{layout.value} node edge must have {arity} elements, got {len(parts)}",
-                epath,
-            )
-        src = _parse_token(parts[0], f"{epath}[0]")
-        dst = _parse_token(parts[1], f"{epath}[1]")
-        for endpoint in (src, dst):
-            if endpoint not in node_set:
-                raise SchemaError("UnknownNode", f"undeclared node {endpoint}", epath)
-        if layout is Layout.T:
-            label = parts[2]
-            if label not in ("l", "r"):
-                raise SchemaError("BadLabel", f"label must be 'l' or 'r', got {label!r}", epath)
-            edges.add(TreeEdge(src, dst, label))
+        if (
+            type(entry) is list
+            and len(entry) == 2
+            and _declared(entry[0], var_set)
+            and _declared(entry[1], node_set)
+        ):
+            edges.add(VarEdge(entry[0], entry[1]))
         else:
-            edges.add(NodeEdge(src, dst))
+            edges.add(_parse_var_edge(entry, f"{path}.var_edges[{i}]", var_set, node_set))
+
+    tree = layout is Layout.T
+    arity = 3 if tree else 2
+    for i, entry in enumerate(_require_list(obj["node_edges"], f"{path}.node_edges")):
+        if (
+            type(entry) is list
+            and len(entry) == arity
+            and _declared(entry[0], node_set)
+            and _declared(entry[1], node_set)
+        ):
+            if not tree:
+                edges.add(NodeEdge(entry[0], entry[1]))
+                continue
+            if entry[2] in ("l", "r"):
+                edges.add(TreeEdge(entry[0], entry[1], entry[2]))
+                continue
+        edges.add(_parse_node_edge(entry, f"{path}.node_edges[{i}]", layout, node_set))
 
     return Component(layout, frozenset(variables), frozenset(nodes), frozenset(edges))
 
@@ -172,36 +217,87 @@ def parse_heap(text: str) -> Heap:
         ) from None
 
 
-def _component_doc(c: Component) -> dict:
-    var_edges = sorted([e.var, e.target] for e in c.var_edges())
-    if c.layout is Layout.T:
-        node_edges = sorted([e.src, e.dst, e.label] for e in c.node_edges())
-    else:
-        node_edges = sorted([e.src, e.dst] for e in c.node_edges())
-    return {
-        "layout": c.layout.value,
-        "variables": sorted(c.vars),
-        "nodes": sorted(c.nodes),
-        "var_edges": var_edges,
-        "node_edges": node_edges,
-    }
+# The canonical layout is exactly ``json.dumps(doc, indent=2) + "\n"`` of
+# the fixed-schema documents below, written directly: json.dumps only uses
+# its C encoder when no indent is given.  Strings are escaped by
+# encode_basestring_ascii, which is what json.dumps applies by default.
+# Writers append pieces to one list that is joined once, and an id's
+# literal is shared by all its occurrences, so little is held at a time.
+_INDENT = ["\n" + "  " * depth for depth in range(8)]
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+class _Quoted(dict):
+    """JSON string literals of ids, each encoded once."""
+
+    def __missing__(self, ident: str) -> str:
+        literal = self[ident] = encode_basestring_ascii(ident)
+        return literal
+
+
+def _document(key: str, items, put) -> str:
+    """``{key: [items]}`` as canonical text; ``put(out, item)`` appends one item."""
+    out = ["{" + _INDENT[1] + f'"{key}": ']
+    opening = "["
+    for item in items:
+        out.append(opening + _INDENT[2])
+        put(out, item)
+        opening = ","
+    out.append(_INDENT[1] + "]" if opening == "," else "[]")
+    out.append(_INDENT[0] + "}\n")
+    return "".join(out)
+
+
+def _put_items(out: list, items: list, depth: int, brackets: str = "[]") -> None:
+    """Append encoded items as a JSON array (or object, given "{}") at ``depth``."""
+    if not items:
+        out.append(brackets)
+        return
+    inner = _INDENT[depth + 1]
+    out.append(brackets[0] + inner + ("," + inner).join(items) + _INDENT[depth] + brackets[1])
+
+
+def _put_rows(out: list, rows: list, depth: int, quote: _Quoted) -> None:
+    """Append a JSON array at ``depth`` whose items are arrays of ids."""
+    if not rows:
+        out.append("[]")
+        return
+    get = quote.__getitem__
+    outer, inner = _INDENT[depth + 1], _INDENT[depth + 2]
+    head, later = "[" + outer + "[" + inner, "," + outer + "[" + inner
+    sep, tail = "," + inner, outer + "]"
+    for row in rows:
+        out.append(head + sep.join(map(get, row)) + tail)
+        head = later
+    out.append(_INDENT[depth] + "]")
+
+
+def _put_component(out: list, c: Component, quote: _Quoted) -> None:
+    # A component is an item of the components array, at depth 2.
+    var_edges, node_edges = [], []
+    for e in c.edges:
+        if isinstance(e, VarEdge):
+            var_edges.append((e.var, e.target))
+        elif c.layout is Layout.T:
+            node_edges.append((e.src, e.dst, e.label))
+        else:
+            node_edges.append((e.src, e.dst))
+    member = "," + _INDENT[3]
+    out.append("{" + _INDENT[3] + '"layout": ' + quote[c.layout.value])
+    out.append(member + '"variables": ')
+    _put_items(out, [quote[v] for v in sorted(c.vars)], 3)
+    out.append(member + '"nodes": ')
+    _put_items(out, [quote[n] for n in sorted(c.nodes)], 3)
+    out.append(member + '"var_edges": ')
+    _put_rows(out, sorted(var_edges), 3, quote)
+    out.append(member + '"node_edges": ')
+    _put_rows(out, sorted(node_edges), 3, quote)
+    out.append(_INDENT[2] + "}")
 
 
 def serialize_heap(h: Heap) -> str:
     """Serialize a heap to its canonical byte-stable document."""
-    return _dump({"components": [_component_doc(c) for c in h.components]})
-
-
-def _encode_edge(e: Edge) -> list:
-    if isinstance(e, VarEdge):
-        return ["var", e.var, e.target]
-    if isinstance(e, NodeEdge):
-        return ["node", e.src, e.dst]
-    return ["tree", e.src, e.dst, e.label]
+    quote = _Quoted()
+    return _document("components", h.components, lambda out, c: _put_component(out, c, quote))
 
 
 def _decode_edge(entry, path: str) -> Edge:
@@ -280,18 +376,37 @@ def parse_witness(
     return _witness_from_doc(_load_json(text), "$", source, target)
 
 
-def _witness_doc(w: Witness) -> dict:
-    node_map = {k: w.node_map[k] for k in sorted(w.node_map)}
-    entries = sorted(
-        ([_encode_edge(e), _encode_edge(img)] for e, img in w.edge_map.items()),
-        key=lambda pair: pair[0],
-    )
-    return {"node_map": node_map, "edge_map": entries}
+def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:
+    member = "," + _INDENT[depth + 1]
+    node_map = w.node_map
+    out.append("{" + _INDENT[depth + 1] + '"node_map": ')
+    entries = [quote[k] + ": " + quote[node_map[k]] for k in sorted(node_map)]
+    _put_items(out, entries, depth + 1, "{}")
+    out.append(member + '"edge_map": ')
+    # Each entry is a [source edge, image edge] pair of edge arrays.
+    pairs = sorted((edge_sort_key(e), edge_sort_key(image)) for e, image in w.edge_map.items())
+    if not pairs:
+        out.append("[]")
+    else:
+        get = quote.__getitem__
+        entry, edge, field = _INDENT[depth + 2], _INDENT[depth + 3], _INDENT[depth + 4]
+        head, later = "[" + entry + "[" + edge + "[" + field, "," + entry + "[" + edge + "[" + field
+        sep, middle = "," + field, edge + "]," + edge + "[" + field
+        tail = edge + "]" + entry + "]"
+        for source, image in pairs:
+            out.append(head + sep.join(map(get, source)) + middle)
+            out.append(sep.join(map(get, image)) + tail)
+            head = later
+        out.append(_INDENT[depth + 1] + "]")
+    out.append(_INDENT[depth] + "}")
 
 
 def serialize_witness(w: Witness) -> str:
     """Serialize one witness to its canonical document."""
-    return _dump(_witness_doc(w))
+    out: list = []
+    _put_witness(out, w, 0, _Quoted())
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_witnesses(text: str) -> list:
@@ -304,7 +419,8 @@ def parse_witnesses(text: str) -> list:
 
 def serialize_witnesses(witnesses) -> str:
     """Serialize the per-component witnesses of one heap run."""
-    return _dump({"witnesses": [_witness_doc(w) for w in witnesses]})
+    quote = _Quoted()
+    return _document("witnesses", witnesses, lambda out, w: _put_witness(out, w, 2, quote))
 
 
 _DOT_SAFE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")

@@ -70,12 +70,16 @@ Region = frozenset
 
 
 def edge_sort_key(e: Edge) -> tuple:
-    """Total order over mixed edge kinds, used for deterministic output."""
+    """Total order over mixed edge kinds, used for deterministic output.
+
+    The key is also the edge's form in witness documents: its kind tag
+    followed by its fields.
+    """
     if isinstance(e, NodeEdge):
-        return ("node", e.src, e.dst, "")
+        return ("node", e.src, e.dst)
     if isinstance(e, TreeEdge):
         return ("tree", e.src, e.dst, e.label)
-    return ("var", e.var, e.target, "")
+    return ("var", e.var, e.target)
 
 
 def _token_ok(ident) -> bool:

@@ -109,26 +109,32 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
         if n in w.node_map:
             preimage_counts[w.node_map[n]] = preimage_counts.get(w.node_map[n], 0) + 1
 
+    # Source edges are visited unsorted and only their findings sorted, by
+    # edge; the sort is stable, so one edge's findings keep their order.
+    findings: list = []
+
+    def finding(e: Edge, code: str, detail: str):
+        findings.append((edge_sort_key(e), Violation(code, detail)))
+
     covered = set()
-    for e in sorted(source.edges, key=edge_sort_key):
+    for e in source.edges:
         if e not in w.edge_map:
-            violations.append(Violation("EdgeMapNotTotal", f"edge {_fmt(e)} is unmapped"))
+            finding(e, "EdgeMapNotTotal", f"edge {_fmt(e)} is unmapped")
             continue
         image = w.edge_map[e]
         covered.add(image)
         if _edge_endpoints_mapped(e, w.node_map):
             forced = map_edge(e, w.node_map)
             if image != forced:
-                violations.append(
-                    Violation(
-                        "EdgeMapIncompatible",
-                        f"edge {_fmt(e)} maps to {_fmt(image)}, node map forces {_fmt(forced)}",
-                    )
+                finding(
+                    e,
+                    "EdgeMapIncompatible",
+                    f"edge {_fmt(e)} maps to {_fmt(image)}, node map forces {_fmt(forced)}",
                 )
         if image not in target.edges:
-            violations.append(
-                Violation("ImageEdgeMissing", f"image {_fmt(image)} is not a target edge")
-            )
+            finding(e, "ImageEdgeMissing", f"image {_fmt(image)} is not a target edge")
+    findings.sort(key=lambda f: f[0])
+    violations.extend(v for _, v in findings)
 
     for e in sorted(target.edges - covered, key=edge_sort_key):
         if _is_self_edge(e) and preimage_counts.get(e.src, 0) >= 2:
@@ -167,10 +173,10 @@ def compose(w1: Witness, w2: Witness) -> Witness:
 def find_witness_bruteforce(source: Component, target: Component, node_budget: int = 8):
     """Search exhaustively for a witness from ``source`` onto ``target``.
 
-    Enumerates onto node maps by backtracking; the edge map of each
-    candidate is forced by compatibility, so a candidate is accepted as
-    soon as every forced image exists in the target and the images cover
-    all target edges (up to the merged-region self-edge allowance).
+    Enumerates onto node maps by iterative backtracking; the edge map of
+    each candidate is forced by compatibility, so a candidate is accepted
+    as soon as every forced image exists in the target and the images
+    cover all target edges (up to the merged-region self-edge allowance).
     Returns None when no witness exists.  Intended as a small-instance
     oracle; refuses sources larger than ``node_budget`` nodes.
     """
@@ -202,6 +208,7 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
 
     assignment: dict = {}
     use_count = {t: 0 for t in tgt_nodes}
+    uncovered = len(tgt_nodes)
 
     def images_ok(i: int, candidate: str) -> bool:
         assignment[src_nodes[i]] = candidate
@@ -221,26 +228,33 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
         w = Witness(node_map, {e: map_edge(e, node_map) for e in source.edges})
         return None if check_valid_abstraction(source, target, w) else w
 
-    def search(i: int):
-        if i == len(src_nodes):
-            return accept()
-        remaining = len(src_nodes) - i
-        uncovered = sum(1 for t in tgt_nodes if use_count[t] == 0)
-        if uncovered > remaining:
-            return None
-        for t in tgt_nodes:
-            if not images_ok(i, t):
-                continue
-            assignment[src_nodes[i]] = t
-            use_count[t] += 1
-            found = search(i + 1)
+    # Depth-first over source nodes in order, one candidate iterator per
+    # assigned level; a level is pruned when the target nodes still
+    # uncovered outnumber the source nodes left to assign.
+    if uncovered > len(src_nodes):
+        return None
+    stack = [iter(tgt_nodes)]
+    while stack:
+        i = len(stack) - 1
+        n = src_nodes[i]
+        if n in assignment:
+            t = assignment.pop(n)
+            use_count[t] -= 1
+            uncovered += use_count[t] == 0
+        t = next((t for t in stack[-1] if images_ok(i, t)), None)
+        if t is None:
+            stack.pop()
+            continue
+        assignment[n] = t
+        uncovered -= use_count[t] == 0
+        use_count[t] += 1
+        if i + 1 == len(src_nodes):
+            found = accept()
             if found is not None:
                 return found
-            use_count[t] -= 1
-            del assignment[src_nodes[i]]
-        return None
-
-    return search(0)
+        elif uncovered <= len(src_nodes) - (i + 1):
+            stack.append(iter(tgt_nodes))
+    return None
 
 
 def _label(e: Edge) -> str:

@@ -6,10 +6,15 @@ the edge set, and DAG groups come from all-pairs similarity tests.  They
 are quadratic or worse and serve only to check that the indexed
 algorithms in ``heapabstract.abstraction`` produce identical outputs,
 witnesses and merge logs.
+
+The canonical serializers at the end are the library's original ones:
+build the document as dicts and lists, then ``json.dumps(doc, indent=2)``.
+They are the reference for the direct writers in ``heapabstract.formats``.
 """
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 
 from heapabstract import (
@@ -281,3 +286,51 @@ def abstract_component(c: Component) -> tuple:
     Merge log entries are (survivor, removed) pairs.
     """
     return _ABSTRACTORS[c.layout](c)
+
+
+def _component_doc(c: Component) -> dict:
+    var_edges = sorted([e.var, e.target] for e in c.var_edges())
+    if c.layout is Layout.T:
+        node_edges = sorted([e.src, e.dst, e.label] for e in c.node_edges())
+    else:
+        node_edges = sorted([e.src, e.dst] for e in c.node_edges())
+    return {
+        "layout": c.layout.value,
+        "variables": sorted(c.vars),
+        "nodes": sorted(c.nodes),
+        "var_edges": var_edges,
+        "node_edges": node_edges,
+    }
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_heap(h) -> str:
+    return _dump({"components": [_component_doc(c) for c in h.components]})
+
+
+def _encode_edge(e) -> list:
+    if isinstance(e, VarEdge):
+        return ["var", e.var, e.target]
+    if isinstance(e, NodeEdge):
+        return ["node", e.src, e.dst]
+    return ["tree", e.src, e.dst, e.label]
+
+
+def _witness_doc(w: Witness) -> dict:
+    node_map = {k: w.node_map[k] for k in sorted(w.node_map)}
+    entries = sorted(
+        ([_encode_edge(e), _encode_edge(img)] for e, img in w.edge_map.items()),
+        key=lambda pair: pair[0],
+    )
+    return {"node_map": node_map, "edge_map": entries}
+
+
+def serialize_witness(w: Witness) -> str:
+    return _dump(_witness_doc(w))
+
+
+def serialize_witnesses(witnesses) -> str:
+    return _dump({"witnesses": [_witness_doc(w) for w in witnesses]})

@@ -1,0 +1,221 @@
+"""Fuzzing of the document parsers and the CLI.
+
+Any input, however malformed, must end in success or a ``DocumentError``
+(exit 2 from the CLI, or exit 1 where a witness check fails), never in
+another exception or exit 3.  Inputs are arbitrary JSON values and valid
+documents with one token, edge or label replaced.  Explicit cases pin the
+error code and location of edges that the parser's fast path hands back
+to the full checks.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genheaps import random_heap
+from heapabstract import (
+    Heap,
+    heap_abstract_results,
+    parse_heap,
+    parse_witnesses,
+    serialize_heap,
+    serialize_witnesses,
+    validate_component,
+)
+from heapabstract.cli import run
+from heapabstract.errors import DocumentError
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+# Strings a mutation may put where an id, a label or a kind tag belongs.
+odd_strings = st.sampled_from(
+    ["", " ", "a b", "x,y", "l", "r", "m", "var", "node", "tree", "n", "é", "\u0001"]
+)
+
+
+def _sites(value) -> list:
+    """Every (container, key) slot inside a JSON value, in document order."""
+    sites = []
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            sites.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return sites
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one slot (an id, an edge, a label, a list...) replaced."""
+    sites = _sites(doc)
+    container, key = sites[draw(st.integers(0, len(sites) - 1))]
+    ids = [v for c, k in sites if isinstance(v := c[k], str)]
+    choices = [json_values, odd_strings, st.lists(odd_strings, max_size=4)]
+    if ids:
+        choices.append(st.sampled_from(ids))
+        choices.append(st.lists(st.sampled_from(ids), max_size=4))
+    container[key] = draw(st.one_of(choices))
+    return doc
+
+
+def _heap_and_witnesses(seed: int):
+    heap = random_heap(random.Random(seed), max_components=3, max_nodes=8)
+    results = heap_abstract_results(heap)
+    target = Heap(tuple(r.output for r in results))
+    return heap, target, [r.witness for r in results]
+
+
+@st.composite
+def mutated_heap(draw):
+    heap, _, _ = _heap_and_witnesses(draw(st.integers(0, 10**6)))
+    return draw(mutated(json.loads(serialize_heap(heap))))
+
+
+@st.composite
+def mutated_witnesses(draw):
+    _, _, witnesses = _heap_and_witnesses(draw(st.integers(0, 10**6)))
+    return draw(mutated(json.loads(serialize_witnesses(witnesses))))
+
+
+def _parses_or_rejects(parse, value):
+    try:
+        parse(json.dumps(value))
+    except DocumentError:
+        pass
+
+
+@given(json_values)
+@settings(max_examples=100)
+def test_parse_heap_arbitrary_json(value):
+    _parses_or_rejects(parse_heap, value)
+    _parses_or_rejects(parse_heap, {"components": [value]})
+
+
+@given(mutated_heap())
+@settings(max_examples=300)
+def test_parse_heap_mutated(doc):
+    try:
+        heap = parse_heap(json.dumps(doc))
+    except DocumentError:
+        return
+    # What parses declares every endpoint and fits its layout's edge kind.
+    for c in heap.components:
+        codes = {v.code for v in validate_component(c)}
+        assert not codes & {"UndeclaredEndpoint", "EdgeKindMismatch"}
+    assert parse_heap(serialize_heap(heap)) == heap
+
+
+@given(json_values)
+@settings(max_examples=100)
+def test_parse_witnesses_arbitrary_json(value):
+    _parses_or_rejects(parse_witnesses, value)
+    _parses_or_rejects(parse_witnesses, {"witnesses": [value]})
+
+
+@given(mutated_witnesses())
+@settings(max_examples=300)
+def test_parse_witnesses_mutated(doc):
+    _parses_or_rejects(parse_witnesses, doc)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(doc=st.one_of(json_values, mutated_heap()))
+@settings(max_examples=150)
+def test_cli_validate_and_abstract_exit_codes(workdir, doc):
+    heap = workdir / "heap.json"
+    heap.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", str(heap)]) in (0, 2)
+    argv = ["abstract", str(heap), "--out", str(workdir / "out.json")]
+    assert run([*argv, "--witness", str(workdir / "w.json")]) in (0, 2)
+
+
+@given(seed=st.integers(0, 10**6), data=st.data())
+@settings(max_examples=150)
+def test_cli_check_witness_exit_codes(workdir, seed, data):
+    heap, target, witnesses = _heap_and_witnesses(seed)
+    docs = {
+        "source": json.loads(serialize_heap(heap)),
+        "target": json.loads(serialize_heap(target)),
+        "witness": json.loads(serialize_witnesses(witnesses)),
+    }
+    name = data.draw(st.sampled_from(sorted(docs)))
+    docs[name] = data.draw(st.one_of(json_values, mutated(docs[name])))
+    for key, doc in docs.items():
+        (workdir / f"{key}.json").write_text(json.dumps(doc), encoding="utf-8")
+    paths = [str(workdir / f"{key}.json") for key in ("source", "target", "witness")]
+    assert run(["check-witness", *paths]) in (0, 1, 2)
+
+
+def _heap_doc(layout, var_edges, node_edges):
+    return json.dumps(
+        {
+            "components": [
+                {
+                    "layout": layout,
+                    "variables": ["x"],
+                    "nodes": ["a", "b"],
+                    "var_edges": var_edges,
+                    "node_edges": node_edges,
+                }
+            ]
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "layout, var_edges, node_edges, code, location",
+    [
+        ("SLL", [["x", "bad token"]], [], "BadToken", "var_edges[0][1]"),
+        ("SLL", [["x", 5]], [], "WrongType", "var_edges[0][1]"),
+        ("SLL", [["x y", "a"]], [], "BadToken", "var_edges[0][0]"),
+        ("SLL", [[None, "a"]], [], "WrongType", "var_edges[0][0]"),
+        ("SLL", [["a", "x"]], [], "UnknownVariable", "var_edges[0]"),
+        ("SLL", [["x", "a"]], [["a", "b c"]], "BadToken", "node_edges[0][1]"),
+        ("SLL", [["x", "a"]], [["a", 7]], "WrongType", "node_edges[0][1]"),
+        ("SLL", [["x", "a"]], [[["a"], "b"]], "WrongType", "node_edges[0][0]"),
+        ("SLL", [["x", "a"]], [["a", "b"], ["b", "zz"]], "UnknownNode", "node_edges[1]"),
+        ("SLL", [["x", "a"]], [["a", "b", "l"]], "EdgeKindMismatch", "node_edges[0]"),
+        ("T", [["x", "a"]], [["a", "", "l"]], "BadToken", "node_edges[0][1]"),
+        ("T", [["x", "a"]], [["a", "b", "m"]], "BadLabel", "node_edges[0]"),
+        ("T", [["x", "a"]], [["a", "b", ["l"]]], "BadLabel", "node_edges[0]"),
+        ("DAG", [["x", "a"]], [["a", {"k": 1}]], "WrongType", "node_edges[0][1]"),
+    ],
+)
+def test_edge_with_one_declared_endpoint_keeps_code_and_location(
+    layout, var_edges, node_edges, code, location
+):
+    with pytest.raises(DocumentError) as exc:
+        parse_heap(_heap_doc(layout, var_edges, node_edges))
+    assert (exc.value.code, exc.value.location) == (code, f"$.components[0].{location}")
+
+
+@pytest.mark.parametrize(
+    "nodes, code",
+    [(["a", 1], "WrongType"), (["a", ["a"]], "WrongType"), (["a", True], "WrongType"),
+     (["a", "a"], "DuplicateId"), (["a", "b c"], "BadToken")],
+)
+def test_bad_id_list_keeps_code_and_location(nodes, code):
+    doc = json.loads(_heap_doc("DAG", [], []))
+    doc["components"][0]["nodes"] = nodes
+    with pytest.raises(DocumentError) as exc:
+        parse_heap(json.dumps(doc))
+    assert (exc.value.code, exc.value.location) == (code, "$.components[0].nodes[1]")

@@ -10,6 +10,7 @@ from heapabstract import (
     BudgetExceededError,
     Component,
     DomainMismatchError,
+    Heap,
     Layout,
     Witness,
     abstract_component,
@@ -20,7 +21,9 @@ from heapabstract import (
     find_witness_bruteforce,
     identity_witness,
     isomorphic,
+    serialize_heap,
 )
+from heapabstract.cli import run
 from heapabstract.model import edge_sort_key
 from heapabstract.witness import map_edge
 
@@ -101,6 +104,28 @@ class TestCheckValidAbstraction:
         edge_map[ne("h0", "h1")] = ne("h1", "h2")
         bad = Witness(dict(w.node_map), edge_map)
         assert "EdgeMapIncompatible" in codes(check_valid_abstraction(fig1, fig1, bad))
+
+    def test_edge_findings_in_edge_order(self):
+        # Findings follow the edge order, and one edge's findings the order
+        # of its checks, however the edge set iterates.
+        nodes = [f"n{i:02d}" for i in range(40)]
+        edges = {ne(a, b) for a, b in zip(nodes, nodes[1:])} | {ve("v", nodes[0])}
+        c = comp(Layout.SLL, {"v"}, nodes, edges)
+        w = identity_witness(c)
+        dropped = {ne(a, b) for a, b in zip(nodes[::3], nodes[1::3])}
+        edge_map = {e: img for e, img in w.edge_map.items() if e not in dropped}
+        edge_map[ne("n01", "n02")] = ne("n05", "n09")
+        found = check_valid_abstraction(c, c, Witness(dict(w.node_map), edge_map))
+        unmapped = [
+            f"edge ({e.src},{e.dst}) is unmapped" for e in sorted(dropped, key=edge_sort_key)
+        ]
+        assert [v.detail for v in found if v.code == "EdgeMapNotTotal"] == unmapped
+        assert codes(found)[:4] == [
+            "EdgeMapNotTotal",  # (n00,n01)
+            "EdgeMapIncompatible",  # (n01,n02)
+            "ImageEdgeMissing",  # (n01,n02)
+            "EdgeMapNotTotal",  # (n03,n04)
+        ]
 
     def test_uncovered_plain_edge_detected(self, fig1):
         target = Component(
@@ -243,7 +268,7 @@ class TestBruteForce:
 
     def test_agrees_with_exhaustive_enumeration(self):
         # The oracle must say yes exactly when some forced witness passes
-        # the checker.
+        # the checker, and find the first such witness in candidate order.
         rng = random.Random(43)
         for layout in Layout:
             for _ in range(8):
@@ -256,19 +281,25 @@ class TestBruteForce:
                         target.layout, target.vars, target.nodes, target.edges - {dropped}
                     )
                 src_nodes = sorted(source.nodes)
-                any_valid = False
+                first = None
                 for image in itertools.product(sorted(target.nodes), repeat=len(src_nodes)):
                     if set(image) != set(target.nodes):
                         continue
                     node_map = dict(zip(src_nodes, image))
                     w = Witness(node_map, {e: map_edge(e, node_map) for e in source.edges})
                     if not check_valid_abstraction(source, target, w):
-                        any_valid = True
+                        first = w
                         break
-                found = find_witness_bruteforce(source, target)
-                assert (found is not None) == any_valid
-                if found is not None:
-                    assert check_valid_abstraction(source, target, found) == []
+                assert find_witness_bruteforce(source, target) == first
+
+    def test_long_list_without_recursion(self, tmp_path):
+        # One search level per node: 1,100 levels is deeper than the
+        # default recursion limit allows a frame-per-level search to go.
+        nodes = [f"n{i}" for i in range(1100)]
+        edges = {ne(nodes[i], nodes[i + 1]) for i in range(1099)} | {ve("v", nodes[0])}
+        path = tmp_path / "list.json"
+        path.write_text(serialize_heap(Heap((comp(Layout.SLL, {"v"}, nodes, edges),))))
+        assert run(["check-valid", str(path), str(path), "--budget", "5000"]) == 0
 
 
 class TestIsomorphic:
