@@ -31,7 +31,7 @@ from .model import (
     _require_layout,
     validate_component,
 )
-from .witness import Witness, map_edge
+from .witness import Witness
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def _survivors(nodes, parent: dict) -> dict:
 
 def _quotient(c: Component, parent: dict, log: list) -> AbstractionResult:
     node_map = _survivors(c.nodes, parent)
-    edge_map = {e: map_edge(e, node_map) for e in c.edges}
+    edge_map = {e: e.image(node_map) for e in c.edges}
     edges = set(edge_map.values())
     for s in {node_map[n] for n in parent}:
         if c.layout is Layout.T:

@@ -31,7 +31,7 @@ from .formats import (
     serialize_heap,
     serialize_witnesses,
 )
-from .model import Heap, validate_component
+from .model import ComponentIndex, Heap, validate_component
 from .witness import check_valid_abstraction, find_witness_bruteforce
 
 OK = 0
@@ -107,13 +107,17 @@ def _cmd_abstract(args) -> int:
 
 def _cmd_classify(args) -> int:
     heap = _load_heap(args.heap)
-    findings = _validate_heap(heap)
+    findings, classified = [], []
+    for i, comp in enumerate(heap.components):
+        index = ComponentIndex(comp)
+        findings.extend((i, v) for v in validate_component(comp, index))
+        if not findings:
+            classified.append(node_classes(comp, index))
     if findings:
         _print_validation(findings, sys.stderr)
         return INPUT_ERROR
     lines = []
-    for i, comp in enumerate(heap.components):
-        classes = node_classes(comp)
+    for i, (comp, classes) in enumerate(zip(heap.components, classified)):
         for n in sorted(comp.nodes):
             k = classes[n]
             reasons = ",".join(r.value for r in k.reasons)

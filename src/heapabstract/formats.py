@@ -27,7 +27,6 @@ from .model import (
     VarEdge,
     _TOKEN,
     _token_ok,
-    edge_sort_key,
     first_id_clash,
 )
 from .witness import Witness
@@ -84,7 +83,7 @@ def _parse_id_list(value, path: str) -> list:
     items = _require_list(value, path)
     # Fast path: distinct valid tokens; anything else is diagnosed below.
     try:
-        if len(set(items)) == len(items) and all(map(_TOKEN.match, items)):
+        if len(set(items)) == len(items) and all(map(_TOKEN.fullmatch, items)):
             return items
     except TypeError:  # an unhashable or non-string item
         pass
@@ -272,15 +271,11 @@ def _put_rows(out: list, rows: list, depth: int, quote: _Quoted) -> None:
 
 
 def _put_component(out: list, c: Component, quote: _Quoted) -> None:
-    # A component is an item of the components array, at depth 2.
+    # A component is an item of the components array, at depth 2.  An
+    # edge's heap-document row is the edge without its kind tag.
     var_edges, node_edges = [], []
-    for e in c.edges:
-        if isinstance(e, VarEdge):
-            var_edges.append((e.var, e.target))
-        elif c.layout is Layout.T:
-            node_edges.append((e.src, e.dst, e.label))
-        else:
-            node_edges.append((e.src, e.dst))
+    for e in sorted(c.edges):
+        (var_edges if isinstance(e, VarEdge) else node_edges).append(e[1:])
     member = "," + _INDENT[3]
     out.append("{" + _INDENT[3] + '"layout": ' + quote[c.layout.value])
     out.append(member + '"variables": ')
@@ -288,9 +283,9 @@ def _put_component(out: list, c: Component, quote: _Quoted) -> None:
     out.append(member + '"nodes": ')
     _put_items(out, [quote[n] for n in sorted(c.nodes)], 3)
     out.append(member + '"var_edges": ')
-    _put_rows(out, sorted(var_edges), 3, quote)
+    _put_rows(out, var_edges, 3, quote)
     out.append(member + '"node_edges": ')
-    _put_rows(out, sorted(node_edges), 3, quote)
+    _put_rows(out, node_edges, 3, quote)
     out.append(_INDENT[2] + "}")
 
 
@@ -300,26 +295,21 @@ def serialize_heap(h: Heap) -> str:
     return _document("components", h.components, lambda out, c: _put_component(out, c, quote))
 
 
+_EDGE_KINDS = {("var", 3): VarEdge, ("node", 3): NodeEdge, ("tree", 4): TreeEdge}
+
+
 def _decode_edge(entry, path: str) -> Edge:
     parts = _require_list(entry, path)
     if not parts or not isinstance(parts[0], str):
         raise SchemaError("UnknownEdgeKind", "edge must start with a kind tag", path)
-    kind = parts[0]
-    if kind == "var" and len(parts) == 3:
-        return VarEdge(
-            _parse_token(parts[1], f"{path}[1]"), _parse_token(parts[2], f"{path}[2]")
-        )
-    if kind == "node" and len(parts) == 3:
-        return NodeEdge(
-            _parse_token(parts[1], f"{path}[1]"), _parse_token(parts[2], f"{path}[2]")
-        )
-    if kind == "tree" and len(parts) == 4:
-        src = _parse_token(parts[1], f"{path}[1]")
-        dst = _parse_token(parts[2], f"{path}[2]")
-        if parts[3] not in ("l", "r"):
-            raise SchemaError("BadLabel", f"label must be 'l' or 'r', got {parts[3]!r}", path)
-        return TreeEdge(src, dst, parts[3])
-    raise SchemaError("UnknownEdgeKind", f"unrecognized edge form {parts!r}", path)
+    kind = _EDGE_KINDS.get((parts[0], len(parts)))
+    if kind is None:
+        raise SchemaError("UnknownEdgeKind", f"unrecognized edge form {parts!r}", path)
+    ids = [_parse_token(parts[i], f"{path}[{i}]") for i in (1, 2)]
+    try:
+        return kind(*ids, *parts[3:])
+    except ValueError:  # a tree edge's label
+        raise SchemaError("BadLabel", f"label must be 'l' or 'r', got {parts[3]!r}", path) from None
 
 
 def _witness_from_doc(doc, path: str, source=None, target=None) -> Witness:
@@ -350,10 +340,7 @@ def _witness_from_doc(doc, path: str, source=None, target=None) -> Witness:
         for edge, comp, side in ((src_edge, source, "source"), (dst_edge, target, "target")):
             if comp is None:
                 continue
-            ids = (
-                (edge.target,) if isinstance(edge, VarEdge) else (edge.src, edge.dst)
-            )
-            for ident in ids:
+            for ident in edge.ends:
                 if ident not in comp.nodes:
                     raise SchemaError(
                         "UnknownNode", f"node {ident} not in {side} component", epath
@@ -383,8 +370,9 @@ def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:
     entries = [quote[k] + ": " + quote[node_map[k]] for k in sorted(node_map)]
     _put_items(out, entries, depth + 1, "{}")
     out.append(member + '"edge_map": ')
-    # Each entry is a [source edge, image edge] pair of edge arrays.
-    pairs = sorted((edge_sort_key(e), edge_sort_key(image)) for e, image in w.edge_map.items())
+    # Each entry is a [source edge, image edge] pair; an edge is its own
+    # array, and source edges are distinct, so the items sort by source edge.
+    pairs = sorted(w.edge_map.items())
     if not pairs:
         out.append("[]")
     else:
@@ -423,11 +411,11 @@ def serialize_witnesses(witnesses) -> str:
     return _document("witnesses", witnesses, lambda out, w: _put_witness(out, w, 2, quote))
 
 
-_DOT_SAFE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
+_DOT_SAFE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")  # used with fullmatch
 
 
 def _dot_id(ident: str) -> str:
-    if _DOT_SAFE.match(ident):
+    if _DOT_SAFE.fullmatch(ident):
         return ident
     return '"' + ident.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -446,15 +434,9 @@ def export_dot(h: Heap, name: str = "heap") -> str:
             lines.append(f"    {_dot_id(v)} [shape=circle];")
         for n in sorted(comp.nodes):
             lines.append(f"    {_dot_id(n)} [shape=oval];")
-        for e in sorted(comp.edges, key=edge_sort_key):
-            if isinstance(e, VarEdge):
-                lines.append(f"    {_dot_id(e.var)} -> {_dot_id(e.target)};")
-            elif isinstance(e, NodeEdge):
-                lines.append(f"    {_dot_id(e.src)} -> {_dot_id(e.dst)};")
-            else:
-                lines.append(
-                    f'    {_dot_id(e.src)} -> {_dot_id(e.dst)} [label="{e.label}"];'
-                )
+        for e in sorted(comp.edges):
+            label = f' [label="{e[3]}"]' if len(e) == 4 else ""
+            lines.append(f"    {_dot_id(e[1])} -> {_dot_id(e[2])}{label};")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Iterable
 
 from .errors import (
     EmptyComponentError,
@@ -22,7 +23,7 @@ from .errors import (
     UnreachableNodeError,
 )
 
-_TOKEN = re.compile(r"^[^\s,]+$")
+_TOKEN = re.compile(r"[^\s,]+")  # used with fullmatch
 
 
 class Layout(Enum):
@@ -34,56 +35,79 @@ class Layout(Enum):
     DAG = "DAG"
 
 
-@dataclass(frozen=True)
-class VarEdge:
-    """Pointer from a variable to a node."""
+class Edge(tuple):
+    """A pointer, stored as its witness-document row: kind tag, then fields.
 
-    var: str
-    target: str
+    Edges of all kinds therefore compare, hash and sort as plain tuples,
+    and ``sorted()`` of an edge set is its canonical order.  Each kind
+    names its fields, lists its node endpoints as ``ends`` and maps itself
+    by ``image(node_map)``, the edge a node map forces it onto.  ``str``
+    gives the ``(a,b[,l])`` form used in messages.
+    """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NodeEdge:
-    """Pointer between nodes (list, cycle, and DAG layouts)."""
+    def __getnewargs__(self):
+        return self[1:]
 
-    src: str
-    dst: str
-
-
-@dataclass(frozen=True)
-class TreeEdge:
-    """Labeled pointer between tree nodes; the label is "l" or "r"."""
-
-    src: str
-    dst: str
-    label: str
-
-    def __post_init__(self):
-        if self.label not in ("l", "r"):
-            raise ValueError(f"tree edge label must be 'l' or 'r', got {self.label!r}")
+    def __str__(self):
+        return "(" + ",".join(self[1:]) + ")"
 
 
-Edge = Union[VarEdge, NodeEdge, TreeEdge]
+class VarEdge(Edge):
+    """Pointer from a variable to a node: ``("var", var, target)``."""
+
+    __slots__ = ()
+    var = property(itemgetter(1))
+    target = property(itemgetter(2))
+    ends = property(itemgetter(slice(2, 3)))
+
+    def __new__(cls, var: str, target: str):
+        return tuple.__new__(cls, ("var", var, target))
+
+    def image(self, node_map: dict) -> VarEdge:
+        return VarEdge(self[1], node_map[self[2]])
+
+
+class NodeEdge(Edge):
+    """Pointer between nodes (list, cycle, and DAG layouts): ``("node", src, dst)``."""
+
+    __slots__ = ()
+    src = property(itemgetter(1))
+    dst = property(itemgetter(2))
+    ends = property(itemgetter(slice(1, 3)))
+
+    def __new__(cls, src: str, dst: str):
+        return tuple.__new__(cls, ("node", src, dst))
+
+    def image(self, node_map: dict) -> NodeEdge:
+        return NodeEdge(node_map[self[1]], node_map[self[2]])
+
+
+class TreeEdge(Edge):
+    """Labeled pointer between tree nodes: ``("tree", src, dst, label)``, label "l" or "r"."""
+
+    __slots__ = ()
+    src = property(itemgetter(1))
+    dst = property(itemgetter(2))
+    label = property(itemgetter(3))
+    ends = property(itemgetter(slice(1, 3)))
+
+    def __new__(cls, src: str, dst: str, label: str):
+        if label not in ("l", "r"):
+            raise ValueError(f"tree edge label must be 'l' or 'r', got {label!r}")
+        return tuple.__new__(cls, ("tree", src, dst, label))
+
+    def image(self, node_map: dict) -> TreeEdge:
+        return TreeEdge(node_map[self[1]], node_map[self[2]], self[3])
+
 
 # A region is a subset of one component's nodes.
 Region = frozenset
 
 
-def edge_sort_key(e: Edge) -> tuple:
-    """Total order over mixed edge kinds, used for deterministic output.
-
-    The key is also the edge's form in witness documents: its kind tag
-    followed by its fields.
-    """
-    if isinstance(e, NodeEdge):
-        return ("node", e.src, e.dst)
-    if isinstance(e, TreeEdge):
-        return ("tree", e.src, e.dst, e.label)
-    return ("var", e.var, e.target)
-
-
 def _token_ok(ident) -> bool:
-    return isinstance(ident, str) and bool(_TOKEN.match(ident))
+    return isinstance(ident, str) and bool(_TOKEN.fullmatch(ident))
 
 
 @dataclass(frozen=True)
@@ -344,23 +368,16 @@ def validate_component(c: Component, index: ComponentIndex | None = None) -> lis
     def flag(code: str, detail: str):
         violations.append(Violation(code, detail))
 
-    for e in sorted(index.undeclared, key=edge_sort_key):
-        if isinstance(e, VarEdge):
-            if e.var not in c.vars:
-                flag("UndeclaredEndpoint", f"variable {e.var} not declared")
-            endpoints = (e.target,)
-        else:
-            endpoints = (e.src, e.dst)
-        for n in endpoints:
+    for e in sorted(index.undeclared):
+        if isinstance(e, VarEdge) and e.var not in c.vars:
+            flag("UndeclaredEndpoint", f"variable {e.var} not declared")
+        for n in e.ends:
             if n not in c.nodes:
                 flag("UndeclaredEndpoint", f"node {n} not declared")
 
-    for e in sorted(index.mismatched, key=edge_sort_key):
-        if isinstance(e, TreeEdge):
-            edge = f"labeled edge ({e.src},{e.dst},{e.label})"
-        else:
-            edge = f"unlabeled edge ({e.src},{e.dst})"
-        flag("EdgeKindMismatch", f"{edge} in {c.layout.value} component")
+    for e in sorted(index.mismatched):
+        kind = "labeled" if isinstance(e, TreeEdge) else "unlabeled"
+        flag("EdgeKindMismatch", f"{kind} edge {e} in {c.layout.value} component")
 
     if index.undeclared:
         return violations

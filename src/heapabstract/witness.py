@@ -14,16 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, DomainMismatchError
-from .model import (
-    Component,
-    ComponentIndex,
-    Edge,
-    NodeEdge,
-    TreeEdge,
-    VarEdge,
-    Violation,
-    edge_sort_key,
-)
+from .model import Component, ComponentIndex, Edge, TreeEdge, VarEdge, Violation
 
 
 @dataclass(frozen=True)
@@ -36,33 +27,6 @@ class Witness:
 
     node_map: dict
     edge_map: dict
-
-
-def map_edge(e: Edge, node_map: dict) -> Edge:
-    """The image an edge is forced to have under a node map."""
-    if isinstance(e, VarEdge):
-        return VarEdge(e.var, node_map[e.target])
-    if isinstance(e, NodeEdge):
-        return NodeEdge(node_map[e.src], node_map[e.dst])
-    return TreeEdge(node_map[e.src], node_map[e.dst], e.label)
-
-
-def _edge_endpoints_mapped(e: Edge, node_map: dict) -> bool:
-    if isinstance(e, VarEdge):
-        return e.target in node_map
-    return e.src in node_map and e.dst in node_map
-
-
-def _is_self_edge(e: Edge) -> bool:
-    return isinstance(e, (NodeEdge, TreeEdge)) and e.src == e.dst
-
-
-def _fmt(e: Edge) -> str:
-    if isinstance(e, VarEdge):
-        return f"({e.var},{e.target})"
-    if isinstance(e, NodeEdge):
-        return f"({e.src},{e.dst})"
-    return f"({e.src},{e.dst},{e.label})"
 
 
 def check_valid_abstraction(source: Component, target: Component, w: Witness) -> list:
@@ -114,32 +78,30 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     findings: list = []
 
     def finding(e: Edge, code: str, detail: str):
-        findings.append((edge_sort_key(e), Violation(code, detail)))
+        findings.append((e, Violation(code, detail)))
 
     covered = set()
     for e in source.edges:
         if e not in w.edge_map:
-            finding(e, "EdgeMapNotTotal", f"edge {_fmt(e)} is unmapped")
+            finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
             continue
         image = w.edge_map[e]
         covered.add(image)
-        if _edge_endpoints_mapped(e, w.node_map):
-            forced = map_edge(e, w.node_map)
-            if image != forced:
-                finding(
-                    e,
-                    "EdgeMapIncompatible",
-                    f"edge {_fmt(e)} maps to {_fmt(image)}, node map forces {_fmt(forced)}",
-                )
+        try:
+            forced = e.image(w.node_map)
+        except KeyError:  # an unmapped endpoint, reported as NodeMapNotTotal
+            forced = image
+        if image != forced:
+            finding(e, "EdgeMapIncompatible", f"edge {e} maps to {image}, node map forces {forced}")
         if image not in target.edges:
-            finding(e, "ImageEdgeMissing", f"image {_fmt(image)} is not a target edge")
+            finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
     findings.sort(key=lambda f: f[0])
     violations.extend(v for _, v in findings)
 
-    for e in sorted(target.edges - covered, key=edge_sort_key):
-        if _is_self_edge(e) and preimage_counts.get(e.src, 0) >= 2:
+    for e in sorted(target.edges - covered):
+        if not isinstance(e, VarEdge) and e.src == e.dst and preimage_counts.get(e.src, 0) >= 2:
             continue
-        violations.append(Violation("EdgeMapNotOnto", f"target edge {_fmt(e)} uncovered"))
+        violations.append(Violation("EdgeMapNotOnto", f"target edge {e} uncovered"))
 
     return violations
 
@@ -163,9 +125,7 @@ def compose(w1: Witness, w2: Witness) -> Witness:
     edge_map = {}
     for e, f in w1.edge_map.items():
         if f not in w2.edge_map:
-            raise DomainMismatchError(
-                f"edge {_fmt(f)} is not in the second witness's domain"
-            )
+            raise DomainMismatchError(f"edge {f} is not in the second witness's domain")
         edge_map[e] = w2.edge_map[f]
     return Witness(node_map, edge_map)
 
@@ -197,14 +157,10 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
         return None
 
     # Edges are checked as soon as their later endpoint gets assigned.
-    var_edges_at: dict = {i: [] for i in range(len(src_nodes))}
-    node_edges_at: dict = {i: [] for i in range(len(src_nodes))}
+    edges_at: dict = {i: [] for i in range(len(src_nodes))}
     index = {n: i for i, n in enumerate(src_nodes)}
     for e in source.edges:
-        if isinstance(e, VarEdge):
-            var_edges_at[index[e.target]].append(e)
-        else:
-            node_edges_at[max(index[e.src], index[e.dst])].append(e)
+        edges_at[max(index[n] for n in e.ends)].append(e)
 
     assignment: dict = {}
     use_count = {t: 0 for t in tgt_nodes}
@@ -213,19 +169,13 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
     def images_ok(i: int, candidate: str) -> bool:
         assignment[src_nodes[i]] = candidate
         try:
-            for e in var_edges_at[i]:
-                if map_edge(e, assignment) not in target.edges:
-                    return False
-            for e in node_edges_at[i]:
-                if map_edge(e, assignment) not in target.edges:
-                    return False
-            return True
+            return all(e.image(assignment) in target.edges for e in edges_at[i])
         finally:
             del assignment[src_nodes[i]]
 
     def accept():
         node_map = dict(assignment)
-        w = Witness(node_map, {e: map_edge(e, node_map) for e in source.edges})
+        w = Witness(node_map, {e: e.image(node_map) for e in source.edges})
         return None if check_valid_abstraction(source, target, w) else w
 
     # Depth-first over source nodes in order, one candidate iterator per

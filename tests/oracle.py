@@ -35,7 +35,6 @@ from heapabstract import (
     height,
 )
 from heapabstract.model import _require_layout
-from heapabstract.witness import map_edge
 
 
 def _require_nodes(c: Component, *nodes: str):
@@ -187,7 +186,7 @@ def _result(c: Component, work: Component, parent: dict, log: list) -> tuple:
         return n
 
     node_map = {n: survivor(n) for n in c.nodes}
-    return work, Witness(node_map, {e: map_edge(e, node_map) for e in c.edges}), tuple(log)
+    return work, Witness(node_map, {e: e.image(node_map) for e in c.edges}), tuple(log)
 
 
 def _merge_chain(c: Component) -> tuple:

@@ -37,7 +37,6 @@ from heapabstract import (
     serialize_heap,
 )
 from heapabstract.cli import run
-from heapabstract.witness import map_edge
 
 LAYOUT_SEEDS = {Layout.SLL: 101, Layout.T: 202, Layout.C: 303, Layout.DAG: 404}
 
@@ -240,7 +239,7 @@ def _flagged_invalid_under_every_witness(source, target):
         if set(image) != set(target.nodes):
             continue
         node_map = dict(zip(src_nodes, image))
-        w = Witness(node_map, {e: map_edge(e, node_map) for e in source.edges})
+        w = Witness(node_map, {e: e.image(node_map) for e in source.edges})
         if not check_valid_abstraction(source, target, w):
             return False
     return True

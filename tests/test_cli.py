@@ -93,6 +93,25 @@ def test_deeply_nested_json_is_an_input_error(command, tmp_path, capsys):
     assert "nesting too deep" in capsys.readouterr().err
 
 
+def test_imports_only_the_standard_library():
+    # Without the site module no third-party package is importable, and
+    # every top-level module loaded is either the script or the import.
+    script = (
+        "import sys\n"
+        "import heapabstract, heapabstract.cli\n"
+        "print(*sorted({m.partition('.')[0] for m in sys.modules} - {'__main__'}))\n"
+    )
+    src = str(Path(heapabstract.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "heapabstract" in loaded
+    assert sorted(loaded - {"heapabstract"} - sys.stdlib_module_names) == []
+
+
 class TestCheckWitness:
     def test_produced_artifacts_check_out(self, artifacts, capsys):
         out, wit = artifacts

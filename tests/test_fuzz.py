@@ -211,7 +211,7 @@ def test_edge_with_one_declared_endpoint_keeps_code_and_location(
 @pytest.mark.parametrize(
     "nodes, code",
     [(["a", 1], "WrongType"), (["a", ["a"]], "WrongType"), (["a", True], "WrongType"),
-     (["a", "a"], "DuplicateId"), (["a", "b c"], "BadToken")],
+     (["a", "a"], "DuplicateId"), (["a", "b c"], "BadToken"), (["a", "b\n"], "BadToken")],
 )
 def test_bad_id_list_keeps_code_and_location(nodes, code):
     doc = json.loads(_heap_doc("DAG", [], []))

@@ -14,7 +14,6 @@ import networkx as nx
 
 from genheaps import comp, random_component, random_relabeling, relabel
 from heapabstract import Layout, NodeEdge, TreeEdge, VarEdge
-from heapabstract.model import edge_sort_key
 from heapabstract.witness import isomorphic
 
 
@@ -24,7 +23,7 @@ def _digraph(c) -> nx.DiGraph:
     g = nx.DiGraph()
     for n in sorted(c.nodes):
         g.add_node(n, vars=frozenset())
-    for e in sorted(c.edges, key=edge_sort_key):
+    for e in sorted(c.edges):
         if isinstance(e, VarEdge):
             g.nodes[e.target]["vars"] |= {e.var}
         else:
@@ -51,7 +50,7 @@ def _replace(c, old, new):
 
 
 def _move_variable(rng, c):
-    var_edges = sorted(c.var_edges(), key=edge_sort_key)
+    var_edges = sorted(c.var_edges())
     if not var_edges:
         return None
     e = rng.choice(var_edges)
@@ -59,7 +58,7 @@ def _move_variable(rng, c):
 
 
 def _flip(rng, c):
-    node_edges = sorted(c.node_edges(), key=edge_sort_key)
+    node_edges = sorted(c.node_edges())
     if not node_edges:
         return None
     e = rng.choice(node_edges)
@@ -69,7 +68,7 @@ def _flip(rng, c):
 
 
 def _redirect(rng, c):
-    node_edges = sorted(c.node_edges(), key=edge_sort_key)
+    node_edges = sorted(c.node_edges())
     if not node_edges:
         return None
     e = rng.choice(node_edges)

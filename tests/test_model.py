@@ -1,5 +1,7 @@
 """Tests for the graph model: region edge sets, depth, validation."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,9 +15,11 @@ from heapabstract import (
     Heap,
     Layout,
     LayoutMismatchError,
+    NodeEdge,
     TreeEdge,
     UnknownNodeError,
     UnreachableNodeError,
+    VarEdge,
     depth_map,
     edges_in,
     edges_out,
@@ -34,6 +38,8 @@ class TestConstruction:
             comp(Layout.SLL, nodes={"a,b"})
         with pytest.raises(ValueError):
             comp(Layout.SLL, nodes={""})
+        with pytest.raises(ValueError):
+            comp(Layout.SLL, nodes={"a\n"})
 
     def test_var_node_namespace_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -58,6 +64,39 @@ class TestConstruction:
             Layout.SLL, frozenset(), frozenset({"a", "b"}), [ne("a", "b"), ne("a", "b")]
         )
         assert len(c.edges) == 1
+
+
+class TestEdgeValues:
+    EDGES = (ve("x", "n"), ne("a", "b"), te("a", "b", "l"))
+
+    def test_copy_and_pickle_keep_value_and_class(self):
+        for e in self.EDGES:
+            for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+                assert twin == e
+                assert type(twin) is type(e)
+
+    def test_kinds_never_collide(self):
+        assert len({VarEdge("x", "n"), NodeEdge("x", "n")}) == 2
+
+    def test_edge_is_its_witness_row(self):
+        assert VarEdge("x", "n") == ("var", "x", "n")
+        assert (ne("a", "b").src, ne("a", "b").dst) == ("a", "b")
+        assert str(te("a", "b", "r")) == "(a,b,r)"
+
+    def test_sorted_is_kind_then_fields(self):
+        # Node edges, then tree edges, then variable edges, each by fields.
+        expected = [
+            ne("a", "z"),
+            ne("b", "a"),
+            te("a", "a", "r"),
+            te("a", "b", "l"),
+            te("a", "b", "r"),
+            ve("a", "c"),
+            ve("x", "b"),
+        ]
+        shuffled = list(expected)
+        random.Random(3).shuffle(shuffled)
+        assert sorted(set(shuffled)) == expected
 
 
 class TestRegionOps:

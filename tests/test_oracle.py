@@ -5,11 +5,14 @@ Output components, witnesses and merge logs must be identical, and so
 must the special/ordinary classification, on the fixtures, the golden
 file, the acceptance corpora, a corpus of larger components, and the
 re-abstraction of every output.  A second test counts how often one CLI
-run builds indexes, validates, classifies and constructs components.
+run of ``abstract`` or ``classify`` builds indexes, validates, classifies
+and constructs components.
 """
 
 import cProfile
 import random
+
+import pytest
 
 import oracle
 from conftest import GOLDEN_DIR, load_component
@@ -127,7 +130,8 @@ def _count_calls(argv, functions):
     return code, counts
 
 
-def test_cli_abstract_indexes_validates_and_classifies_once(tmp_path):
+@pytest.mark.parametrize("command", ["abstract", "classify"])
+def test_cli_abstract_indexes_validates_and_classifies_once(command, tmp_path):
     rng = random.Random(7)
     components = [
         GENERATORS[layout](rng, max_nodes=25, prefix=f"k{i}x")
@@ -141,7 +145,9 @@ def test_cli_abstract_indexes_validates_and_classifies_once(tmp_path):
         node_classes,
         Component.__post_init__,
     )
-    argv = ["abstract", str(heap_path), "--out", str(tmp_path / "out.json")]
+    argv = [command, str(heap_path)]
+    if command == "abstract":
+        argv += ["--out", str(tmp_path / "out.json")]
     code, counts = _count_calls(argv, watched)
     n = len(components)
     assert code == 0
@@ -149,5 +155,6 @@ def test_cli_abstract_indexes_validates_and_classifies_once(tmp_path):
         ComponentIndex.__init__: n,
         validate_component: n,
         node_classes: n,
-        Component.__post_init__: 2 * n,
+        # The parsed components, plus the abstract ones.
+        Component.__post_init__: 2 * n if command == "abstract" else n,
     }

@@ -24,8 +24,6 @@ from heapabstract import (
     serialize_heap,
 )
 from heapabstract.cli import run
-from heapabstract.model import edge_sort_key
-from heapabstract.witness import map_edge
 
 
 def codes(violations):
@@ -87,7 +85,7 @@ class TestCheckValidAbstraction:
     def test_onto_checked(self, fig1):
         # Collapsing h1 into h0 covers neither node h1 nor its edges.
         node_map = {n: ("h0" if n == "h1" else n) for n in fig1.nodes}
-        w = Witness(node_map, {e: map_edge(e, node_map) for e in fig1.edges})
+        w = Witness(node_map, {e: e.image(node_map) for e in fig1.edges})
         found = codes(check_valid_abstraction(fig1, fig1, w))
         assert "NodeMapNotOnto" in found
 
@@ -116,9 +114,7 @@ class TestCheckValidAbstraction:
         edge_map = {e: img for e, img in w.edge_map.items() if e not in dropped}
         edge_map[ne("n01", "n02")] = ne("n05", "n09")
         found = check_valid_abstraction(c, c, Witness(dict(w.node_map), edge_map))
-        unmapped = [
-            f"edge ({e.src},{e.dst}) is unmapped" for e in sorted(dropped, key=edge_sort_key)
-        ]
+        unmapped = [f"edge ({e.src},{e.dst}) is unmapped" for e in sorted(dropped)]
         assert [v.detail for v in found if v.code == "EdgeMapNotTotal"] == unmapped
         assert codes(found)[:4] == [
             "EdgeMapNotTotal",  # (n00,n01)
@@ -173,11 +169,11 @@ class TestCompose:
             fig1.vars,
             fig1.nodes - {"h2"},
             frozenset(
-                {map_edge(e, first_map) for e in fig1.edges if e != ne("h1", "h2")}
+                {e.image(first_map) for e in fig1.edges if e != ne("h1", "h2")}
             )
             | {ne("h1", "h1")},
         )
-        w1 = Witness(first_map, {e: map_edge(e, first_map) for e in fig1.edges})
+        w1 = Witness(first_map, {e: e.image(first_map) for e in fig1.edges})
         assert check_valid_abstraction(fig1, intermediate, w1) == []
         rest = abstract_sll(intermediate)
         combined = compose(w1, rest.witness)
@@ -276,7 +272,7 @@ class TestBruteForce:
                 result = abstract_component(source)
                 target = result.output
                 if rng.random() < 0.5 and target.node_edges():
-                    dropped = sorted(target.node_edges(), key=edge_sort_key)[0]
+                    dropped = sorted(target.node_edges())[0]
                     target = Component(
                         target.layout, target.vars, target.nodes, target.edges - {dropped}
                     )
@@ -286,7 +282,7 @@ class TestBruteForce:
                     if set(image) != set(target.nodes):
                         continue
                     node_map = dict(zip(src_nodes, image))
-                    w = Witness(node_map, {e: map_edge(e, node_map) for e in source.edges})
+                    w = Witness(node_map, {e: e.image(node_map) for e in source.edges})
                     if not check_valid_abstraction(source, target, w):
                         first = w
                         break
