@@ -256,3 +256,7 @@ def run(argv=None) -> int:
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -25,8 +25,7 @@ from .model import (
     NodeEdge,
     TreeEdge,
     VarEdge,
-    _TOKEN,
-    _token_ok,
+    _tokens_ok,
     first_id_clash,
 )
 from .witness import Witness
@@ -74,71 +73,53 @@ def _require_list(value, path: str) -> list:
 def _parse_token(value, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaError("WrongType", "expected a string", path)
-    if not _token_ok(value):
+    if not _tokens_ok((value,)):
         raise SchemaError("BadToken", f"bad identifier token: {value!r}", path)
     return value
 
 
 def _parse_id_list(value, path: str) -> list:
     items = _require_list(value, path)
-    # Fast path: distinct valid tokens; anything else is diagnosed below.
-    try:
-        if len(set(items)) == len(items) and all(map(_TOKEN.fullmatch, items)):
-            return items
-    except TypeError:  # an unhashable or non-string item
-        pass
-    seen = set()
-    out = []
-    for i, item in enumerate(items):
-        token = _parse_token(item, f"{path}[{i}]")
-        if token in seen:
-            raise SchemaError("DuplicateId", f"duplicate id {token}", f"{path}[{i}]")
-        seen.add(token)
-        out.append(token)
-    return out
+    if not _tokens_ok(items) or len(set(items)) != len(items):
+        # Name the first bad or repeated id.
+        seen = set()
+        for i, item in enumerate(items):
+            token = _parse_token(item, f"{path}[{i}]")
+            if token in seen:
+                raise SchemaError("DuplicateId", f"duplicate id {token}", f"{path}[{i}]")
+            seen.add(token)
+    return items
 
 
-def _declared(ident, ids: set) -> bool:
-    # Declared ids are valid tokens, so membership also proves the token.
-    try:
-        return ident in ids
-    except TypeError:  # unhashable
-        return False
+def _bad_label(label, path: str) -> SchemaError:
+    return SchemaError("BadLabel", f"label must be 'l' or 'r', got {label!r}", path)
 
 
-def _parse_var_edge(entry, epath: str, var_set: set, node_set: set) -> VarEdge:
-    pair = _require_list(entry, epath)
-    if len(pair) != 2:
-        raise SchemaError("EdgeKindMismatch", "variable edge must be [var, node]", epath)
-    var = _parse_token(pair[0], f"{epath}[0]")
-    target = _parse_token(pair[1], f"{epath}[1]")
-    if var not in var_set:
-        raise SchemaError("UnknownVariable", f"undeclared variable {var}", epath)
-    if target not in node_set:
-        raise SchemaError("UnknownNode", f"undeclared node {target}", epath)
-    return VarEdge(var, target)
+def _refuse_edge(row, path: str, kind: type, layout: Layout, firsts: set, nodes: set):
+    """Raise the error of an edge row that the edge loop refused.
 
-
-def _parse_node_edge(entry, epath: str, layout: Layout, node_set: set) -> Edge:
-    arity = 3 if layout is Layout.T else 2
-    parts = _require_list(entry, epath)
-    if len(parts) != arity:
+    The checks run in a fixed order: the row is a list of the right
+    arity, its two ids are tokens ([0], then [1]), they are declared,
+    and last a tree edge's label is "l" or "r".
+    """
+    _require_list(row, path)
+    arity = 3 if kind is TreeEdge else 2
+    if len(row) != arity:
+        if kind is VarEdge:
+            raise SchemaError("EdgeKindMismatch", "variable edge must be [var, node]", path)
         raise SchemaError(
             "EdgeKindMismatch",
-            f"{layout.value} node edge must have {arity} elements, got {len(parts)}",
-            epath,
+            f"{layout.value} node edge must have {arity} elements, got {len(row)}",
+            path,
         )
-    src = _parse_token(parts[0], f"{epath}[0]")
-    dst = _parse_token(parts[1], f"{epath}[1]")
-    for endpoint in (src, dst):
-        if endpoint not in node_set:
-            raise SchemaError("UnknownNode", f"undeclared node {endpoint}", epath)
-    if layout is Layout.T:
-        label = parts[2]
-        if label not in ("l", "r"):
-            raise SchemaError("BadLabel", f"label must be 'l' or 'r', got {label!r}", epath)
-        return TreeEdge(src, dst, label)
-    return NodeEdge(src, dst)
+    first, second = [_parse_token(row[i], f"{path}[{i}]") for i in (0, 1)]
+    if first not in firsts:
+        if kind is VarEdge:
+            raise SchemaError("UnknownVariable", f"undeclared variable {first}", path)
+        raise SchemaError("UnknownNode", f"undeclared node {first}", path)
+    if second not in nodes:
+        raise SchemaError("UnknownNode", f"undeclared node {second}", path)
+    raise _bad_label(row[2], path)  # only a tree row's label is left
 
 
 def _parse_component(doc, path: str) -> Component:
@@ -154,49 +135,35 @@ def _parse_component(doc, path: str) -> Component:
             "UnknownLayout", f"unknown layout {layout_name!r}", f"{path}.layout"
         ) from None
 
-    variables = _parse_id_list(obj["variables"], f"{path}.variables")
-    nodes = _parse_id_list(obj["nodes"], f"{path}.nodes")
-    overlap = set(variables) & set(nodes)
+    variables = set(_parse_id_list(obj["variables"], f"{path}.variables"))
+    nodes = set(_parse_id_list(obj["nodes"], f"{path}.nodes"))
+    overlap = variables & nodes
     if overlap:
         raise ModelError(
             "IdClash",
             f"ids declared as both variable and node: {sorted(overlap)}",
             path,
         )
-    var_set, node_set = set(variables), set(nodes)
 
-    # Well-formed edges between declared ids are taken as they are; any
-    # other entry goes through the checks that name its error and location.
-    edges: set = set()
-    for i, entry in enumerate(_require_list(obj["var_edges"], f"{path}.var_edges")):
-        if (
-            type(entry) is list
-            and len(entry) == 2
-            and _declared(entry[0], var_set)
-            and _declared(entry[1], node_set)
-        ):
-            edges.add(VarEdge(entry[0], entry[1]))
-        else:
-            edges.add(_parse_var_edge(entry, f"{path}.var_edges[{i}]", var_set, node_set))
-
+    # A row between declared ids (which are tokens, so membership proves
+    # the token) becomes its edge; any other row is refused with the error
+    # and location that name what is wrong with it.
     tree = layout is Layout.T
-    arity = 3 if tree else 2
-    for i, entry in enumerate(_require_list(obj["node_edges"], f"{path}.node_edges")):
-        if (
-            type(entry) is list
-            and len(entry) == arity
-            and _declared(entry[0], node_set)
-            and _declared(entry[1], node_set)
-        ):
-            if not tree:
-                edges.add(NodeEdge(entry[0], entry[1]))
-                continue
-            if entry[2] in ("l", "r"):
-                edges.add(TreeEdge(entry[0], entry[1], entry[2]))
-                continue
-        edges.add(_parse_node_edge(entry, f"{path}.node_edges[{i}]", layout, node_set))
+    edges: set = set()
+    for key, kind, arity, firsts in (
+        ("var_edges", VarEdge, 2, variables),
+        ("node_edges", TreeEdge if tree else NodeEdge, 3 if tree else 2, nodes),
+    ):
+        for i, row in enumerate(_require_list(obj[key], f"{path}.{key}")):
+            try:
+                if type(row) is list and len(row) == arity and row[0] in firsts and row[1] in nodes:
+                    edges.add(kind(*row))
+                    continue
+            except (TypeError, ValueError):  # an unhashable id; a tree edge's label
+                pass
+            _refuse_edge(row, f"{path}.{key}[{i}]", kind, layout, firsts, nodes)
 
-    return Component(layout, frozenset(variables), frozenset(nodes), frozenset(edges))
+    return Component(layout, variables, nodes, edges)
 
 
 def parse_heap(text: str) -> Heap:
@@ -309,10 +276,10 @@ def _decode_edge(entry, path: str) -> Edge:
     try:
         return kind(*ids, *parts[3:])
     except ValueError:  # a tree edge's label
-        raise SchemaError("BadLabel", f"label must be 'l' or 'r', got {parts[3]!r}", path) from None
+        raise _bad_label(parts[3], path) from None
 
 
-def _witness_from_doc(doc, path: str, source=None, target=None) -> Witness:
+def _witness_from_doc(doc, path: str) -> Witness:
     obj = _require_object(doc, path, ("node_map", "edge_map"))
     node_map_doc = obj["node_map"]
     if not isinstance(node_map_doc, dict):
@@ -322,12 +289,7 @@ def _witness_from_doc(doc, path: str, source=None, target=None) -> Witness:
     for key, value in node_map_doc.items():
         kpath = f"{path}.node_map.{key}"
         src_id = _parse_token(key, kpath)
-        dst_id = _parse_token(value, kpath)
-        if source is not None and src_id not in source.nodes:
-            raise SchemaError("UnknownNode", f"node {src_id} not in source component", kpath)
-        if target is not None and dst_id not in target.nodes:
-            raise SchemaError("UnknownNode", f"node {dst_id} not in target component", kpath)
-        node_map[src_id] = dst_id
+        node_map[src_id] = _parse_token(value, kpath)
 
     edge_map = {}
     for i, entry in enumerate(_require_list(obj["edge_map"], f"{path}.edge_map")):
@@ -337,30 +299,19 @@ def _witness_from_doc(doc, path: str, source=None, target=None) -> Witness:
             raise SchemaError("WrongType", "edge map entry must be [edge, edge]", epath)
         src_edge = _decode_edge(pair[0], f"{epath}[0]")
         dst_edge = _decode_edge(pair[1], f"{epath}[1]")
-        for edge, comp, side in ((src_edge, source, "source"), (dst_edge, target, "target")):
-            if comp is None:
-                continue
-            for ident in edge.ends:
-                if ident not in comp.nodes:
-                    raise SchemaError(
-                        "UnknownNode", f"node {ident} not in {side} component", epath
-                    )
         if src_edge in edge_map:
             raise SchemaError("DuplicateEdge", f"edge {pair[0]!r} mapped twice", epath)
         edge_map[src_edge] = dst_edge
     return Witness(node_map, edge_map)
 
 
-def parse_witness(
-    text: str, source: Component | None = None, target: Component | None = None
-) -> Witness:
+def parse_witness(text: str) -> Witness:
     """Parse a witness document.
 
-    When the source and target components are supplied, every node id in
-    the document is checked against their declarations; without them the
-    document is only checked structurally.
+    Only the document is checked here; whether the witness fits a source
+    and a target component is for :func:`check_valid_abstraction`.
     """
-    return _witness_from_doc(_load_json(text), "$", source, target)
+    return _witness_from_doc(_load_json(text), "$")
 
 
 def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:

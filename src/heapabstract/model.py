@@ -106,8 +106,12 @@ class TreeEdge(Edge):
 Region = frozenset
 
 
-def _token_ok(ident) -> bool:
-    return isinstance(ident, str) and bool(_TOKEN.fullmatch(ident))
+def _tokens_ok(ids) -> bool:
+    """Whether every id is a token: a nonempty string without whitespace or commas."""
+    try:
+        return all(map(_TOKEN.fullmatch, ids))
+    except TypeError:  # a non-string id
+        return False
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,9 @@ class Component:
         object.__setattr__(self, "edges", frozenset(self.edges))
         if not isinstance(self.layout, Layout):
             raise ValueError(f"layout must be a Layout, got {self.layout!r}")
-        for ident in (*self.vars, *self.nodes):
-            if not _token_ok(ident):
-                raise ValueError(f"bad identifier token: {ident!r}")
+        if not (_tokens_ok(self.vars) and _tokens_ok(self.nodes)):
+            bad = next(i for i in (*self.vars, *self.nodes) if not _tokens_ok((i,)))
+            raise ValueError(f"bad identifier token: {bad!r}")
         overlap = self.vars & self.nodes
         if overlap:
             raise ValueError(

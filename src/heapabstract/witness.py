@@ -33,9 +33,9 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     """Verify that ``w`` certifies ``target`` as a valid abstraction of ``source``.
 
     Returns every violation found rather than failing fast: layouts and
-    variable sets must agree, both maps must be total and onto, each edge
-    image must be the one its endpoints force, and each image must exist
-    in the target.
+    variable sets must agree, both maps must be total and onto and map
+    only source nodes and edges, each edge image must be the one its
+    endpoints force, and each image must exist in the target.
 
     A target self edge whose node absorbs two or more source nodes stands
     for the collapsed region itself; such edges need no preimage, since a
@@ -58,8 +58,12 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
             )
         )
 
-    for n in sorted(source.nodes - w.node_map.keys()):
+    unmapped = source.nodes - w.node_map.keys()
+    for n in sorted(unmapped):
         violations.append(Violation("NodeMapNotTotal", f"node {n} is unmapped"))
+    if len(w.node_map) > len(source.nodes) - len(unmapped):  # it maps a non-source node
+        for n in sorted(w.node_map.keys() - source.nodes):
+            violations.append(Violation("NodeMapDomainUnknown", f"node {n} is not a source node"))
     images = {w.node_map[n] for n in source.nodes if n in w.node_map}
     for n in sorted(images - target.nodes):
         violations.append(
@@ -81,9 +85,11 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
         findings.append((e, Violation(code, detail)))
 
     covered = set()
+    unmapped_edges = 0
     for e in source.edges:
         if e not in w.edge_map:
             finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
+            unmapped_edges += 1
             continue
         image = w.edge_map[e]
         covered.add(image)
@@ -95,6 +101,9 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
             finding(e, "EdgeMapIncompatible", f"edge {e} maps to {image}, node map forces {forced}")
         if image not in target.edges:
             finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
+    if len(w.edge_map) > len(source.edges) - unmapped_edges:  # it maps a non-source edge
+        for e in w.edge_map.keys() - source.edges:
+            finding(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge")
     findings.sort(key=lambda f: f[0])
     violations.extend(v for _, v in findings)
 
@@ -117,17 +126,16 @@ def compose(w1: Witness, w2: Witness) -> Witness:
     Valid abstraction is transitive, and composition is how the combined
     certificate is built: both maps compose pointwise.
     """
-    node_map = {}
-    for n, m in w1.node_map.items():
-        if m not in w2.node_map:
-            raise DomainMismatchError(f"node {m} is not in the second witness's domain")
-        node_map[n] = w2.node_map[m]
-    edge_map = {}
-    for e, f in w1.edge_map.items():
-        if f not in w2.edge_map:
-            raise DomainMismatchError(f"edge {f} is not in the second witness's domain")
-        edge_map[e] = w2.edge_map[f]
-    return Witness(node_map, edge_map)
+    # A failure names the smallest missing node, else the smallest missing
+    # edge, whatever order the maps were built in.
+    for what, m1, m2 in ("node", w1.node_map, w2.node_map), ("edge", w1.edge_map, w2.edge_map):
+        gap = set(m1.values()) - m2.keys()
+        if gap:
+            raise DomainMismatchError(f"{what} {min(gap)} is not in the second witness's domain")
+    return Witness(
+        {n: w2.node_map[m] for n, m in w1.node_map.items()},
+        {e: w2.edge_map[f] for e, f in w1.edge_map.items()},
+    )
 
 
 def find_witness_bruteforce(source: Component, target: Component, node_budget: int = 8):

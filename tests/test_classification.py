@@ -12,6 +12,7 @@ from heapabstract import (
     LayoutMismatchError,
     Reason,
     SameNodeError,
+    SimilarityPartition,
     UnknownNodeError,
     node_classes,
     ordinary_nodes,
@@ -265,6 +266,10 @@ class TestRefSimilarDag:
     def test_layout_mismatch(self, fig1):
         with pytest.raises(LayoutMismatchError):
             ref_similar_dag(fig1)
+
+    def test_overlapping_groups_rejected(self):
+        with pytest.raises(ValueError):
+            SimilarityPartition(({"a", "b"}, {"b", "c"}))
 
     def test_partition_properties_random(self):
         rng = random.Random(17)

@@ -16,6 +16,7 @@ FIG1 = str(FIXTURE_DIR / "fig1_sll.json")
 FIG2 = str(FIXTURE_DIR / "fig2_tree.json")
 FIG3 = str(FIXTURE_DIR / "fig3_cycle.json")
 BROKEN = str(FIXTURE_DIR / "broken_sll_labeled_edge.json")
+ACYCLIC = str(FIXTURE_DIR / "broken_cycle_acyclic.json")
 
 
 @pytest.fixture
@@ -80,6 +81,43 @@ class TestAbstract:
         assert proc.returncode == 3
         assert "InternalInvariant" in proc.stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["abstract", "classify"])
+def test_heap_failing_validation_is_an_input_error(command, tmp_path, capsys):
+    # The heap parses, but its cycle component has no cycle.
+    out = tmp_path / "out.json"
+    argv = [command, ACYCLIC] + (["--out", str(out)] if command == "abstract" else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "component 0: MissingCycle" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_module_entry_point(artifacts, tmp_path):
+    # ``python -m heapabstract.cli`` runs the CLI and exits with its status.
+    out, wit = artifacts
+    doc = json.loads(wit.read_text(encoding="utf-8"))
+    doc["witnesses"][0]["node_map"]["ghost"] = "h1"
+    doc["witnesses"][0]["edge_map"].append([["node", "ghost", "ghost2"], ["node", "h1", "h1"]])
+    ghost = tmp_path / "ghost.json"
+    ghost.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(heapabstract.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*argv):
+        command = [sys.executable, "-m", "heapabstract.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, text=True)
+
+    proc = cli("validate", FIG1)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n")
+    proc = cli("check-witness", FIG1, str(out), str(ghost))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "component 0: NodeMapDomainUnknown: node ghost is not a source node",
+        "component 0: EdgeMapDomainUnknown: edge (ghost,ghost2) is not a source edge",
+    ]
 
 
 @pytest.mark.parametrize("command", ["validate", "abstract", "check-witness"])

@@ -4,8 +4,8 @@ Any input, however malformed, must end in success or a ``DocumentError``
 (exit 2 from the CLI, or exit 1 where a witness check fails), never in
 another exception or exit 3.  Inputs are arbitrary JSON values and valid
 documents with one token, edge or label replaced.  Explicit cases pin the
-error code and location of edges that the parser's fast path hands back
-to the full checks.
+error code and location of edge rows that the parser's edge loop refuses,
+and so the order in which those rows are checked.
 """
 
 import json
@@ -198,6 +198,12 @@ def _heap_doc(layout, var_edges, node_edges):
         ("T", [["x", "a"]], [["a", "b", "m"]], "BadLabel", "node_edges[0]"),
         ("T", [["x", "a"]], [["a", "b", ["l"]]], "BadLabel", "node_edges[0]"),
         ("DAG", [["x", "a"]], [["a", {"k": 1}]], "WrongType", "node_edges[0][1]"),
+        ("T", [["x", "a"]], [["a", "zz", "m"]], "UnknownNode", "node_edges[0]"),
+        ("SLL", [["zz", "b c"]], [], "BadToken", "var_edges[0][1]"),
+        ("SLL", [["x"]], [], "EdgeKindMismatch", "var_edges[0]"),
+        ("SLL", [["x", "zz"]], [], "UnknownNode", "var_edges[0]"),
+        ("SLL", ["x"], [], "WrongType", "var_edges[0]"),
+        ("DAG", [["x", "a"]], [{"a": "b"}], "WrongType", "node_edges[0]"),
     ],
 )
 def test_edge_with_one_declared_endpoint_keeps_code_and_location(

@@ -17,6 +17,7 @@ from heapabstract import (
     SchemaError,
     abstract_cycle,
     abstract_sll,
+    check_valid_abstraction,
     export_dot,
     identity_witness,
     parse_heap,
@@ -286,13 +287,21 @@ class TestWitnessDocuments:
             assert serialize_witness(parse_witness(text)) == text
 
     def test_unknown_node_with_context(self, fig1):
+        # The parser checks only the document; whether the witness fits its
+        # components is for the checker to say.
         result = abstract_sll(fig1)
         text = serialize_witness(result.witness)
         doc = json.loads(text)
         doc["node_map"]["ghost"] = "h1"
+        w = parse_witness(json.dumps(doc))
+        found = check_valid_abstraction(fig1, result.output, w)
+        assert [v.code for v in found] == ["NodeMapDomainUnknown"]
+
+    def test_node_map_must_be_an_object(self):
+        text = json.dumps({"witnesses": [{"node_map": [], "edge_map": []}]})
         with pytest.raises(SchemaError) as exc:
-            parse_witness(json.dumps(doc), source=fig1, target=result.output)
-        assert exc.value.code == "UnknownNode"
+            parse_witnesses(text)
+        assert (exc.value.code, exc.value.location) == ("WrongType", "$.witnesses[0].node_map")
 
     def test_context_free_parse_accepts_any_ids(self):
         text = '{"node_map": {"x": "y"}, "edge_map": []}'

@@ -41,6 +41,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             comp(Layout.SLL, nodes={"a\n"})
 
+    def test_bad_token_named(self):
+        with pytest.raises(ValueError, match="bad identifier token: 'b c'"):
+            comp(Layout.SLL, vars={"v"}, nodes={"a", "b c", "d"})
+        with pytest.raises(ValueError, match="bad identifier token: 1"):
+            comp(Layout.SLL, nodes={"a", 1})
+
+    def test_layout_must_be_a_layout(self):
+        with pytest.raises(ValueError):
+            Component("SLL")
+
     def test_var_node_namespace_overlap_rejected(self):
         with pytest.raises(ValueError):
             comp(Layout.SLL, vars={"x"}, nodes={"x"})

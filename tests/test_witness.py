@@ -96,6 +96,30 @@ class TestCheckValidAbstraction:
         bad = Witness(node_map, dict(w.edge_map))
         assert "NodeMapImageUnknown" in codes(check_valid_abstraction(fig1, fig1, bad))
 
+    def test_ghost_node_and_edge(self, fig1):
+        result = abstract_sll(fig1)
+        w = result.witness
+        ghost = ne("ghost", "ghost2")
+        bad = Witness({**w.node_map, "ghost": "h1"}, {**w.edge_map, ghost: ne("h1", "h1")})
+        found = check_valid_abstraction(fig1, result.output, bad)
+        assert [(v.code, v.detail) for v in found] == [
+            ("NodeMapDomainUnknown", "node ghost is not a source node"),
+            ("EdgeMapDomainUnknown", "edge (ghost,ghost2) is not a source edge"),
+        ]
+
+    def test_ghost_in_a_map_of_the_source_size(self, fig1):
+        # A ghost that replaces an unmapped id leaves each map as large as
+        # the source; it is found all the same, in the order of the checks.
+        w = identity_witness(fig1)
+        node_map = {**w.node_map, "ghost": "h3"}
+        del node_map["h3"]
+        edge_map = {**w.edge_map, ne("h0", "h9"): ne("h0", "h1")}
+        del edge_map[ne("h0", "h1")]
+        found = check_valid_abstraction(fig1, fig1, Witness(node_map, edge_map))
+        assert codes(found)[:2] == ["NodeMapNotTotal", "NodeMapDomainUnknown"]
+        edge_codes = [v.code for v in found if v.code.startswith("EdgeMap")]
+        assert edge_codes[:2] == ["EdgeMapNotTotal", "EdgeMapDomainUnknown"]
+
     def test_incompatible_edge_map(self, fig1):
         w = identity_witness(fig1)
         edge_map = dict(w.edge_map)
@@ -184,6 +208,31 @@ class TestCompose:
     def test_domain_mismatch(self, fig1, fig3):
         with pytest.raises(DomainMismatchError):
             compose(identity_witness(fig1), identity_witness(fig3))
+
+    @pytest.mark.parametrize(
+        "keep_nodes, keep_edges, message",
+        [
+            (6, False, "edge (n0,n1) is not in the second witness's domain"),
+            (3, True, "node n3 is not in the second witness's domain"),
+        ],
+    )
+    def test_domain_mismatch_names_smallest_missing_id(self, keep_nodes, keep_edges, message):
+        # The same inputs name the same id, whatever order w1's maps were
+        # built in.
+        nodes = [f"n{i}" for i in range(6)]
+        edges = {ne(a, b) for a, b in zip(nodes, nodes[1:])} | {ve("v", "n0")}
+        w = identity_witness(comp(Layout.SLL, {"v"}, nodes, edges))
+        w2 = Witness({n: n for n in nodes[:keep_nodes]}, dict(w.edge_map) if keep_edges else {})
+        messages = set()
+        for reverse in (False, True):
+            w1 = Witness(
+                dict(sorted(w.node_map.items(), reverse=reverse)),
+                dict(sorted(w.edge_map.items(), reverse=reverse)),
+            )
+            with pytest.raises(DomainMismatchError) as exc:
+                compose(w1, w2)
+            messages.add(str(exc.value))
+        assert messages == {message}
 
     def test_transitivity_random(self):
         rng = random.Random(37)
