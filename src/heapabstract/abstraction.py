@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .classify import node_classes, similarity_groups
+from .classify import ordinary_nodes, similarity_groups
 from .errors import InternalInvariantError, InvalidComponentError
 from .model import (
     Component,
@@ -94,14 +94,14 @@ def _merge_tree(index: ComponentIndex, ordinary: set) -> tuple:
     Levels are processed bottom-up (depths are frozen at entry); the root
     level never absorbs.  At level i, an ordinary parent whose l/r
     children are distinct ordinary nodes absorbs them provided the pair
-    is detachable: no variable points at either child, and every edge
-    touching them that survives so far stays inside the trio.  Without
-    that proviso a merge could orphan a deeper special node and the
-    output would not abstract the input.  A merge removes only nodes one
-    level down whose every edge stays in its own trio, so it neither
-    creates nor spoils another triple of the level; settling the level's
-    triples in ascending order, skipping those whose children are gone,
-    therefore repeats "merge the smallest triple" exactly.
+    is detachable: every edge touching them that survives so far stays
+    inside the trio (no variable points at them: pointed nodes are
+    special).  Without that proviso a merge could orphan a deeper special
+    node and the output would not abstract the input.  A merge removes
+    only nodes one level down whose every edge stays in its own trio, so
+    it neither creates nor spoils another triple of the level; settling
+    the level's triples in ascending order, skipping those whose children
+    are gone, therefore repeats "merge the smallest triple" exactly.
     """
     parent: dict = {}
     log = []
@@ -113,7 +113,7 @@ def _merge_tree(index: ComponentIndex, ordinary: set) -> tuple:
         by_level.setdefault(depths[n], []).append(n)
 
     def detachable(n: str, trio: tuple) -> bool:
-        return not index.pointed[n] and all(
+        return all(
             e.src in trio and e.dst in trio or e.src in parent or e.dst in parent
             for e in (*index.out[n], *index.into[n])
         )
@@ -185,15 +185,6 @@ def _quotient(c: Component, parent: dict, log: list) -> AbstractionResult:
     return AbstractionResult(output, Witness(node_map, edge_map), tuple(log))
 
 
-def _abstract_indexed(index: ComponentIndex) -> AbstractionResult:
-    c = index.component
-    ordinary = {n for n, k in node_classes(c, index).items() if not k.special}
-    parent, log, budget = _MERGES[c.layout](index, ordinary)
-    if len(parent) > budget:
-        raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
-    return _quotient(c, parent, log)
-
-
 def validate_and_abstract(c: Component) -> tuple:
     """Validate a component once and, when it is valid, abstract it.
 
@@ -203,7 +194,12 @@ def validate_and_abstract(c: Component) -> tuple:
     """
     index = ComponentIndex(c)
     violations = validate_component(c, index)
-    return violations, (None if violations else _abstract_indexed(index))
+    if violations:
+        return violations, None
+    parent, log, budget = _MERGES[c.layout](index, ordinary_nodes(c, index))
+    if len(parent) > budget:
+        raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
+    return violations, _quotient(c, parent, log)
 
 
 def abstract_component(c: Component) -> AbstractionResult:

@@ -62,37 +62,19 @@ class SimilarityPartition:
             seen |= g
 
 
-def _classes(c: Component, reasons_by_node: dict) -> dict:
-    return {
-        n: NodeClass(
-            tuple(sorted(reasons_by_node.get(n, ()), key=_REASON_ORDER.__getitem__))
-        )
-        for n in c.nodes
-    }
-
-
-def _mark_back_edges(index: ComponentIndex, reasons: dict):
-    # Lists: both endpoints of an edge from a strictly deeper node to a
-    # shallower one.
+def _mark_depth_anomalies(index: ComponentIndex, reasons: dict):
+    # Lists and trees: both endpoints of an edge of the layout's kind that
+    # goes up to a shallower node (back edge) or, in trees, stays level.
     depths = index.depth_map()
+    tree = index.component.layout is Layout.T
+    kind = TreeEdge if tree else NodeEdge
     for edges in index.out.values():
         for e in edges:
-            if isinstance(e, NodeEdge) and depths[e.src] > depths[e.dst]:
-                reasons[e.src].add(Reason.BACK_EDGE_ENDPOINT)
-                reasons[e.dst].add(Reason.BACK_EDGE_ENDPOINT)
-
-
-def _mark_non_descending(index: ComponentIndex, reasons: dict):
-    # Trees: both endpoints of a labeled edge between distinct nodes that
-    # goes back up (back edge) or stays at the same depth (horizontal).
-    depths = index.depth_map()
-    for edges in index.out.values():
-        for e in edges:
-            if not isinstance(e, TreeEdge):
+            if not isinstance(e, kind):
                 continue
             if depths[e.src] > depths[e.dst]:
                 reason = Reason.BACK_EDGE_ENDPOINT
-            elif depths[e.src] == depths[e.dst]:
+            elif tree and depths[e.src] == depths[e.dst]:
                 reason = Reason.HORIZONTAL_EDGE_ENDPOINT
             else:
                 continue
@@ -112,8 +94,8 @@ def _mark_branch_points(index: ComponentIndex, reasons: dict):
 
 # DAGs have no layout rule: only their variable targets are special.
 _LAYOUT_RULES = {
-    Layout.SLL: _mark_back_edges,
-    Layout.T: _mark_non_descending,
+    Layout.SLL: _mark_depth_anomalies,
+    Layout.T: _mark_depth_anomalies,
     Layout.C: _mark_branch_points,
 }
 
@@ -138,12 +120,15 @@ def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
     rule = _LAYOUT_RULES.get(c.layout)
     if rule:
         rule(index, reasons)
-    return _classes(c, reasons)
+    return {
+        n: NodeClass(tuple(sorted(reasons.get(n, ()), key=_REASON_ORDER.__getitem__)))
+        for n in c.nodes
+    }
 
 
-def ordinary_nodes(c: Component) -> frozenset:
-    """The mergeable nodes: complement of the special ones."""
-    return frozenset(n for n, k in node_classes(c).items() if not k.special)
+def ordinary_nodes(c: Component, index: ComponentIndex | None = None) -> frozenset:
+    """The mergeable nodes, complement of the special ones; ``index`` as in node_classes."""
+    return frozenset(n for n, k in node_classes(c, index).items() if not k.special)
 
 
 def _neighbourhood(index: ComponentIndex, n: str) -> tuple:
@@ -207,5 +192,4 @@ def ref_similar_dag(c: Component) -> SimilarityPartition:
     """
     _require_layout(c, Layout.DAG, "similarity partitioning")
     index = ComponentIndex(c)
-    ordinary = [n for n, k in node_classes(c, index).items() if not k.special]
-    return SimilarityPartition(tuple(similarity_groups(index, ordinary)))
+    return SimilarityPartition(tuple(similarity_groups(index, ordinary_nodes(c, index))))

@@ -18,12 +18,7 @@ import sys
 from . import __version__
 from .abstraction import validate_and_abstract
 from .classify import node_classes
-from .errors import (
-    BudgetExceededError,
-    DocumentError,
-    InternalInvariantError,
-    InvalidComponentError,
-)
+from .errors import BudgetExceededError, DocumentError, InternalInvariantError, ParseError
 from .formats import (
     export_dot,
     parse_heap,
@@ -41,8 +36,14 @@ INTERNAL_ERROR = 3
 
 
 def _read(path: str) -> str:
+    # JSON text is UTF-8 (RFC 8259 8.1); read() decodes the whole file, so exc.start is its offset.
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                "InvalidJson", f"input is not UTF-8 ({exc.reason})", f"byte {exc.start}"
+            ) from None
 
 
 def _emit(text: str, out_path):
@@ -55,14 +56,6 @@ def _emit(text: str, out_path):
 
 def _load_heap(path: str) -> Heap:
     return parse_heap(_read(path))
-
-
-def _validate_heap(h: Heap) -> list:
-    findings = []
-    for i, comp in enumerate(h.components):
-        for v in validate_component(comp):
-            findings.append((i, v))
-    return findings
 
 
 def _print_validation(findings, stream):
@@ -171,7 +164,7 @@ def _cmd_check_valid(args) -> int:
 
 def _cmd_validate(args) -> int:
     heap = _load_heap(args.heap)
-    findings = _validate_heap(heap)
+    findings = [(i, v) for i, comp in enumerate(heap.components) for v in validate_component(comp)]
     if findings:
         _print_validation(findings, sys.stdout)
         return INPUT_ERROR
@@ -237,14 +230,11 @@ def run(argv=None) -> int:
         return OK if exc.code in (0, None) else INPUT_ERROR
     try:
         return args.handler(args)
-    except DocumentError as exc:
+    except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (InvalidComponentError, BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except InternalInvariantError as exc:
         print(f"internal error: {exc.code}: {exc}", file=sys.stderr)

@@ -322,9 +322,9 @@ def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:
     _put_items(out, entries, depth + 1, "{}")
     out.append(member + '"edge_map": ')
     # Each entry is a [source edge, image edge] pair; an edge is its own
-    # array, and source edges are distinct, so the items sort by source edge.
-    pairs = sorted(w.edge_map.items())
-    if not pairs:
+    # array, and source edges are distinct, so the entries sort by source edge.
+    sources = sorted(w.edge_map)
+    if not sources:
         out.append("[]")
     else:
         get = quote.__getitem__
@@ -332,9 +332,9 @@ def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:
         head, later = "[" + entry + "[" + edge + "[" + field, "," + entry + "[" + edge + "[" + field
         sep, middle = "," + field, edge + "]," + edge + "[" + field
         tail = edge + "]" + entry + "]"
-        for source, image in pairs:
+        for source in sources:
             out.append(head + sep.join(map(get, source)) + middle)
-            out.append(sep.join(map(get, image)) + tail)
+            out.append(sep.join(map(get, w.edge_map[source])) + tail)
             head = later
         out.append(_INDENT[depth + 1] + "]")
     out.append(_INDENT[depth] + "}")
@@ -363,10 +363,11 @@ def serialize_witnesses(witnesses) -> str:
 
 
 _DOT_SAFE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")  # used with fullmatch
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})  # any case
 
 
 def _dot_id(ident: str) -> str:
-    if _DOT_SAFE.fullmatch(ident):
+    if _DOT_SAFE.fullmatch(ident) and ident.lower() not in _DOT_KEYWORDS:
         return ident
     return '"' + ident.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -64,18 +64,13 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     if len(w.node_map) > len(source.nodes) - len(unmapped):  # it maps a non-source node
         for n in sorted(w.node_map.keys() - source.nodes):
             violations.append(Violation("NodeMapDomainUnknown", f"node {n} is not a source node"))
-    images = {w.node_map[n] for n in source.nodes if n in w.node_map}
-    for n in sorted(images - target.nodes):
+    preimages = Counter(w.node_map[n] for n in source.nodes if n in w.node_map)
+    for n in sorted(preimages.keys() - target.nodes):
         violations.append(
             Violation("NodeMapImageUnknown", f"image {n} is not a target node")
         )
-    for n in sorted(target.nodes - images):
+    for n in sorted(target.nodes - preimages.keys()):
         violations.append(Violation("NodeMapNotOnto", f"target node {n} uncovered"))
-
-    preimage_counts: dict = {}
-    for n in source.nodes:
-        if n in w.node_map:
-            preimage_counts[w.node_map[n]] = preimage_counts.get(w.node_map[n], 0) + 1
 
     # Source edges are visited unsorted and only their findings sorted, by
     # edge; the sort is stable, so one edge's findings keep their order.
@@ -108,7 +103,7 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     violations.extend(v for _, v in findings)
 
     for e in sorted(target.edges - covered):
-        if not isinstance(e, VarEdge) and e.src == e.dst and preimage_counts.get(e.src, 0) >= 2:
+        if not isinstance(e, VarEdge) and e.src == e.dst and preimages[e.src] >= 2:
             continue
         violations.append(Violation("EdgeMapNotOnto", f"target edge {e} uncovered"))
 
@@ -248,8 +243,8 @@ def isomorphic(c1: Component, c2: Component) -> bool:
     backtracking with degree-signature pruning: nodes are mapped in
     breadth-first order from the most constrained one, so each later node
     neighbours a mapped one (its anchor) and its candidates are the
-    neighbours of the anchor's image.  A candidate is checked against
-    already-mapped neighbours only.
+    neighbours of the anchor's image.  A candidate (same signature, so the
+    same self edges) is checked against already-mapped neighbours only.
     """
     if c1.layout is not c2.layout or c1.vars != c2.vars:
         return False
@@ -289,7 +284,7 @@ def isomorphic(c1: Component, c2: Component) -> bool:
         return sorted(m for m in near if sig2[m] == sig1[n])
 
     def consistent(n: str, m: str) -> bool:
-        if m in inverse or labels1.get((n, n)) != labels2.get((m, m)):
+        if m in inverse:
             return False
         pairs = [(p, mapping[p]) for p in _neighbours(index1, n) if p in mapping]
         pairs += [(inverse[q], q) for q in _neighbours(index2, m) if q in inverse]

@@ -131,6 +131,30 @@ def test_deeply_nested_json_is_an_input_error(command, tmp_path, capsys):
     assert "nesting too deep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "BAD"],
+        ["abstract", "BAD"],
+        ["classify", "BAD"],
+        ["export-dot", "BAD"],
+        ["check-valid", "BAD", FIG1],
+        ["check-valid", FIG1, "BAD"],
+        ["check-witness", "BAD", FIG1, FIG1],
+        ["check-witness", FIG1, "BAD", FIG1],
+        ["check-witness", FIG1, FIG1, "BAD"],
+    ],
+)
+def test_non_utf8_input_is_an_input_error(argv, tmp_path, capsys):
+    # JSON text is UTF-8; the bad byte is named by its offset in the file,
+    # here past the first 64 KiB.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b" " * 100_000 + b'{"components": [\xff]}')
+    assert run([str(bad) if a == "BAD" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: InvalidJson at byte 100016: input is not UTF-8 (invalid start byte)" in err
+
+
 def test_imports_only_the_standard_library():
     # Without the site module no third-party package is importable, and
     # every top-level module loaded is either the script or the import.

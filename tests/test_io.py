@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture_text
-from genheaps import comp, random_heap, ve
+from genheaps import comp, ne, random_heap, ve
 from heapabstract import (
     Heap,
     Layout,
@@ -378,6 +378,23 @@ class TestExportDot:
         dot = export_dot(heap)
         assert "subgraph cluster_0 {" in dot
         assert "subgraph cluster_1 {" in dot
+
+    def test_dot_keywords_get_quoted(self):
+        # DOT keywords in any letter case are ids only when quoted.
+        c = comp(
+            Layout.SLL,
+            {"edge", "Strict"},
+            {"node", "graph", "nodes", "x1", "DiGraph", "SUBGRAPH"},
+            {ve("edge", "node"), ve("Strict", "x1"), ne("node", "graph"), ne("nodes", "x1")},
+        )
+        dot = export_dot(Heap((c,)))
+        assert '"edge" [shape=circle];' in dot
+        assert '"Strict" [shape=circle];' in dot
+        assert '"node" -> "graph";' in dot
+        assert '"DiGraph" [shape=oval];' in dot
+        assert '"SUBGRAPH" [shape=oval];' in dot
+        assert "nodes -> x1;" in dot
+        assert "x1 [shape=oval];" in dot
 
     def test_odd_identifiers_get_quoted(self):
         c = comp(Layout.SLL, nodes={"a-1"}, edges=set())
