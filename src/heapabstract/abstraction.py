@@ -185,29 +185,21 @@ def _quotient(c: Component, parent: dict, log: list) -> AbstractionResult:
     return AbstractionResult(output, Witness(node_map, edge_map), tuple(log))
 
 
-def validate_and_abstract(c: Component) -> tuple:
-    """Validate a component once and, when it is valid, abstract it.
+def abstract_component(c: Component) -> AbstractionResult:
+    """Validate one component and abstract it, dispatching on its layout.
 
-    Returns ``(violations, result)``; ``result`` is None exactly when
-    there are violations.  The component's index is built here and
-    dropped on return.
+    Every entry point runs through here.  The component's index is built
+    once and dropped on return.  An invalid component raises
+    :class:`InvalidComponentError` with all its ``violations``.
     """
     index = ComponentIndex(c)
     violations = validate_component(c, index)
     if violations:
-        return violations, None
+        raise InvalidComponentError(violations)
     parent, log, budget = _MERGES[c.layout](index, ordinary_nodes(c, index))
     if len(parent) > budget:
         raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
-    return violations, _quotient(c, parent, log)
-
-
-def abstract_component(c: Component) -> AbstractionResult:
-    """Abstract one valid component, dispatching on its layout."""
-    violations, result = validate_and_abstract(c)
-    if violations:
-        raise InvalidComponentError(violations)
-    return result
+    return _quotient(c, parent, log)
 
 
 def abstract_sll(c: Component) -> AbstractionResult:
@@ -246,10 +238,10 @@ def heap_abstract_results(h: Heap) -> list:
     """
     results = []
     for i, comp in enumerate(h.components):
-        violations, result = validate_and_abstract(comp)
-        if violations:
-            raise InvalidComponentError(violations, index=i)
-        results.append(result)
+        try:
+            results.append(abstract_component(comp))
+        except InvalidComponentError as exc:
+            raise InvalidComponentError(exc.violations, index=i) from None
     return results
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable
 
 from .errors import SameNodeError, UnknownNodeError
@@ -31,9 +30,6 @@ class Reason(Enum):
     HORIZONTAL_EDGE_ENDPOINT = "HorizontalEdgeEndpoint"
     MULTI_IN = "MultiIn"
     MULTI_OUT = "MultiOut"
-
-
-_REASON_ORDER = {r: i for i, r in enumerate(Reason)}
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class SimilarityPartition:
             seen |= g
 
 
-def _mark_depth_anomalies(index: ComponentIndex, reasons: dict):
+def _mark_depth_anomalies(index: ComponentIndex, marked: dict):
     # Lists and trees: both endpoints of an edge of the layout's kind that
     # goes up to a shallower node (back edge) or, in trees, stays level.
     depths = index.depth_map()
@@ -78,18 +74,17 @@ def _mark_depth_anomalies(index: ComponentIndex, reasons: dict):
                 reason = Reason.HORIZONTAL_EDGE_ENDPOINT
             else:
                 continue
-            reasons[e.src].add(reason)
-            reasons[e.dst].add(reason)
+            marked[reason].update(e.ends)
 
 
-def _mark_branch_points(index: ComponentIndex, reasons: dict):
+def _mark_branch_points(index: ComponentIndex, marked: dict):
     # Cycles: nodes with more than one entering or leaving edge; self
     # edges count as neither.
     for n in index.component.nodes:
         if len(index.into[n]) > 1:
-            reasons[n].add(Reason.MULTI_IN)
+            marked[Reason.MULTI_IN].add(n)
         if len(index.out[n]) > 1:
-            reasons[n].add(Reason.MULTI_OUT)
+            marked[Reason.MULTI_OUT].add(n)
 
 
 # DAGs have no layout rule: only their variable targets are special.
@@ -113,17 +108,16 @@ def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
     when the caller has already built it.
     """
     index = index or ComponentIndex(c)
-    reasons = defaultdict(set)
-    for n, variables in index.pointed.items():
-        if variables:
-            reasons[n].add(Reason.VAR_POINTED)
+    marked = defaultdict(set)  # the nodes each reason applies to
+    marked[Reason.VAR_POINTED].update(n for n, variables in index.pointed.items() if variables)
     rule = _LAYOUT_RULES.get(c.layout)
     if rule:
-        rule(index, reasons)
-    return {
-        n: NodeClass(tuple(sorted(reasons.get(n, ()), key=_REASON_ORDER.__getitem__)))
-        for n in c.nodes
-    }
+        rule(index, marked)
+    reasons: dict = {}
+    for r in Reason:
+        for n in marked[r]:
+            reasons[n] = (*reasons.get(n, ()), r)
+    return {n: NodeClass(reasons.get(n, ())) for n in c.nodes}
 
 
 def ordinary_nodes(c: Component, index: ComponentIndex | None = None) -> frozenset:
@@ -138,13 +132,6 @@ def _neighbourhood(index: ComponentIndex, n: str) -> tuple:
     preds = frozenset(e.src for e in index.into[n]).union(loop)
     succs = frozenset(e.dst for e in index.out[n]).union(loop)
     return preds, succs
-
-
-def _similar(index: ComponentIndex, a: str, b: str) -> bool:
-    key = _neighbourhood(index, a)
-    if b in key[0] or b in key[1]:
-        return False
-    return key == _neighbourhood(index, b)
 
 
 def reference_similar(c: Component, a: str, b: str) -> bool:
@@ -167,8 +154,12 @@ def reference_similar_set(c: Component, region: Iterable) -> bool:
     unknown = members - c.nodes
     if unknown:
         raise UnknownNodeError(f"undeclared nodes: {sorted(unknown)}")
+    if len(members) < 2:
+        return True
     index = ComponentIndex(c)
-    return all(_similar(index, a, b) for a, b in combinations(sorted(members), 2))
+    keys = {_neighbourhood(index, n) for n in members}
+    # One shared neighbourhood that holds no member: no edge joins two members.
+    return len(keys) == 1 and members.isdisjoint(frozenset().union(*keys.pop()))
 
 
 def similarity_groups(index: ComponentIndex, ordinary) -> list:

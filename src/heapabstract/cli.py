@@ -13,12 +13,19 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
-from .abstraction import validate_and_abstract
+from .abstraction import abstract_component
 from .classify import node_classes
-from .errors import BudgetExceededError, DocumentError, InternalInvariantError, ParseError
+from .errors import (
+    BudgetExceededError,
+    DocumentError,
+    InternalInvariantError,
+    InvalidComponentError,
+    ParseError,
+)
 from .formats import (
     export_dot,
     parse_heap,
@@ -46,12 +53,29 @@ def _read(path: str) -> str:
             ) from None
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs):
+    """Write ``(text, path)`` pairs, a None path meaning stdout, all or none.
+
+    Files are staged beside their paths and renamed into place, and stdout
+    is written, only once every staged write succeeded.
+    """
+    staged = []
+    try:
+        for text, path in outputs:
+            if path:
+                tmp = f"{path}.{os.getpid()}.tmp"
+                with open(tmp, "x", encoding="utf-8", newline="") as handle:
+                    staged.append((tmp, path))
+                    handle.write(text)
+        while staged:
+            os.replace(*staged[-1])
+            staged.pop()
+    finally:
+        for tmp, _ in staged:
+            os.remove(tmp)
+    for text, path in outputs:
+        if not path:
+            sys.stdout.write(text)
 
 
 def _load_heap(path: str) -> Heap:
@@ -67,9 +91,10 @@ def _cmd_abstract(args) -> int:
     heap = _load_heap(args.heap)
     findings, results = [], []
     for i, comp in enumerate(heap.components):
-        violations, result = validate_and_abstract(comp)
-        findings.extend((i, v) for v in violations)
-        results.append(result)
+        try:
+            results.append(abstract_component(comp))
+        except InvalidComponentError as exc:
+            findings.extend((i, v) for v in exc.violations)
     if findings:
         _print_validation(findings, sys.stderr)
         return INPUT_ERROR
@@ -92,9 +117,10 @@ def _cmd_abstract(args) -> int:
                 f" merges {len(r.merge_log)}",
                 file=sys.stderr,
             )
-    _emit(serialize_heap(out_heap), args.out)
+    outputs = [(serialize_heap(out_heap), args.out)]
     if args.witness:
-        _emit(serialize_witnesses([r.witness for r in results]), args.witness)
+        outputs.append((serialize_witnesses([r.witness for r in results]), args.witness))
+    _emit(*outputs)
     return OK
 
 
@@ -116,7 +142,7 @@ def _cmd_classify(args) -> int:
             reasons = ",".join(r.value for r in k.reasons)
             label = "special" if k.special else "ordinary"
             lines.append(f"component {i} {n} {label}" + (f" [{reasons}]" if reasons else ""))
-    _emit("\n".join(lines) + ("\n" if lines else ""), None)
+    _emit(("\n".join(lines) + ("\n" if lines else ""), None))
     return OK
 
 
@@ -137,12 +163,10 @@ def _cmd_check_witness(args) -> int:
     pairs = _paired_components(source, target, witnesses)
     if pairs is None:
         return INPUT_ERROR
-    failed = False
-    for i, (src, tgt) in enumerate(pairs):
-        for v in check_valid_abstraction(src, tgt, witnesses[i]):
-            failed = True
-            print(f"component {i}: {v.code}: {v.detail}")
-    return CHECK_FAILED if failed else OK
+    checks = (check_valid_abstraction(src, tgt, w) for (src, tgt), w in zip(pairs, witnesses))
+    findings = [(i, v) for i, violations in enumerate(checks) for v in violations]
+    _print_validation(findings, sys.stdout)
+    return CHECK_FAILED if findings else OK
 
 
 def _cmd_check_valid(args) -> int:
@@ -174,7 +198,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     heap = _load_heap(args.heap)
-    _emit(export_dot(heap), args.out)
+    _emit((export_dot(heap), args.out))
     return OK
 
 

@@ -378,7 +378,7 @@ def export_dot(h: Heap, name: str = "heap") -> str:
     Variables are drawn as circles and nodes as ovals; tree edges carry
     their l/r labels.  Output ordering is deterministic.
     """
-    lines = [f"digraph {name} {{"]
+    lines = [f"digraph {_dot_id(name)} {{"]
     for i, comp in enumerate(h.components):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="component {i} ({comp.layout.value})";')

@@ -102,10 +102,6 @@ class TreeEdge(Edge):
         return TreeEdge(node_map[self[1]], node_map[self[2]], self[3])
 
 
-# A region is a subset of one component's nodes.
-Region = frozenset
-
-
 def _tokens_ok(ids) -> bool:
     """Whether every id is a token: a nonempty string without whitespace or commas."""
     try:
@@ -192,36 +188,28 @@ class Violation:
     detail: str
 
 
-def _checked_region(c: Component, r: Iterable) -> frozenset:
+def _region_scan(c: Component, r: Iterable, inside: tuple) -> frozenset:
+    # Pointer edges whose (source, target) lie in the region as ``inside`` says.
     region = frozenset(r)
     unknown = region - c.nodes
     if unknown:
         raise UnknownNodeError(f"region references undeclared nodes: {sorted(unknown)}")
-    return region
+    return frozenset(e for e in c.node_edges() if (e.src in region, e.dst in region) == inside)
 
 
 def region_edges(c: Component, r: Iterable) -> frozenset:
     """Pointer edges of the component with both endpoints inside the region."""
-    region = _checked_region(c, r)
-    return frozenset(
-        e for e in c.node_edges() if e.src in region and e.dst in region
-    )
+    return _region_scan(c, r, (True, True))
 
 
 def edges_in(c: Component, r: Iterable) -> frozenset:
     """Pointer edges entering the region from outside it."""
-    region = _checked_region(c, r)
-    return frozenset(
-        e for e in c.node_edges() if e.src not in region and e.dst in region
-    )
+    return _region_scan(c, r, (False, True))
 
 
 def edges_out(c: Component, r: Iterable) -> frozenset:
     """Pointer edges leaving the region to the outside."""
-    region = _checked_region(c, r)
-    return frozenset(
-        e for e in c.node_edges() if e.src in region and e.dst not in region
-    )
+    return _region_scan(c, r, (True, False))
 
 
 class ComponentIndex:

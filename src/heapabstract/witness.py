@@ -229,10 +229,11 @@ def _neighbours(index: ComponentIndex, n: str) -> set:
     return {e.dst for e in index.out[n]} | {e.src for e in index.into[n]}
 
 
-def _pair_labels(c: Component) -> dict:
+def _pair_labels(index: ComponentIndex) -> dict:
     labels: dict = {}
-    for e in c.node_edges():
-        labels.setdefault((e.src, e.dst), set()).add(_label(e))
+    for edges in index.out.values():
+        for e in edges:
+            labels.setdefault(e.ends, set()).add(_label(e))
     return labels
 
 
@@ -259,7 +260,7 @@ def isomorphic(c1: Component, c2: Component) -> bool:
         by_sig.setdefault(sig2[m], []).append(m)
     if any(sig not in by_sig for sig in sig1.values()):
         return False
-    labels1, labels2 = _pair_labels(c1), _pair_labels(c2)
+    labels1, labels2 = _pair_labels(index1), _pair_labels(index2)
 
     order, anchor = [], {}
     for root in sorted(c1.nodes, key=lambda n: (len(by_sig[sig1[n]]), n)):

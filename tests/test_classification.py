@@ -56,6 +56,17 @@ class TestSll:
         }
         assert not classes["b"].special
 
+    def test_labeled_back_edge_marks_no_ends(self):
+        # Only edges of the layout's kind are back edges; a labeled one is
+        # an EdgeKindMismatch for validation, not a classification rule.
+        c = comp(
+            Layout.SLL,
+            vars={"v"},
+            nodes={"a", "b", "c"},
+            edges={ve("v", "a"), ne("a", "b"), ne("b", "c"), te("c", "a", "l")},
+        )
+        assert reasons_of(node_classes(c)) == {"a": ("VarPointed",)}
+
     def test_layout_mismatch(self, fig3):
         with pytest.raises(LayoutMismatchError):
             special_nodes_sll(fig3)
@@ -92,6 +103,15 @@ class TestTree:
         classes = node_classes(c)
         assert classes["c"].reasons == (Reason.BACK_EDGE_ENDPOINT,)
         assert set(classes["r"].reasons) == {Reason.VAR_POINTED, Reason.BACK_EDGE_ENDPOINT}
+
+    def test_unlabeled_back_edge_marks_no_ends(self):
+        c = comp(
+            Layout.T,
+            vars={"R"},
+            nodes={"r", "a", "b"},
+            edges={ve("R", "r"), te("r", "a", "l"), te("a", "b", "l"), ne("b", "r")},
+        )
+        assert reasons_of(node_classes(c)) == {"r": ("VarPointed",)}
 
     def test_self_edges_do_not_make_special(self):
         c = comp(

@@ -66,11 +66,10 @@ class TestAbstract:
         script = (
             "import dataclasses, sys\n"
             "from heapabstract import Witness, cli\n"
-            "real = cli.validate_and_abstract\n"
+            "real = cli.abstract_component\n"
             "def broken(c):\n"
-            "    violations, result = real(c)\n"
-            "    return violations, dataclasses.replace(result, witness=Witness({}, {}))\n"
-            "cli.validate_and_abstract = broken\n"
+            "    return dataclasses.replace(real(c), witness=Witness({}, {}))\n"
+            "cli.abstract_component = broken\n"
             f"sys.exit(cli.run(['abstract', {FIG1!r}, '--out', {str(out)!r}]))\n"
         )
         src = str(Path(heapabstract.__file__).resolve().parents[1])
@@ -81,6 +80,22 @@ class TestAbstract:
         assert proc.returncode == 3
         assert "InternalInvariant" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "out, witness",
+        [("o.json", "nodir/w.json"), ("nodir/o.json", "w.json"), (None, "nodir/w.json")],
+    )
+    def test_failed_write_leaves_no_output(self, out, witness, tmp_path, capsys):
+        # Either both documents are written or neither is, and no
+        # temporary file is left behind.
+        argv = ["abstract", FIG1, "--witness", str(tmp_path / witness)]
+        if out:
+            argv += ["--out", str(tmp_path / out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["abstract", "classify"])
@@ -237,6 +252,12 @@ class TestCheckValid:
 
     def test_budget_can_be_raised(self):
         assert run(["check-valid", FIG3, FIG3]) == 0
+
+    def test_component_count_mismatch(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"components": []}', encoding="utf-8")
+        assert run(["check-valid", FIG1, str(empty)]) == 2
+        assert "component counts differ" in capsys.readouterr().err
 
 
 class TestValidate:
