@@ -13,7 +13,9 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 
 from . import __version__
@@ -53,29 +55,51 @@ def _read(path: str) -> str:
             ) from None
 
 
-def _emit(*outputs):
-    """Write ``(text, path)`` pairs, a None path meaning stdout, all or none.
+def _emit(text: str, out_path):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
-    Files are staged beside their paths and renamed into place, and stdout
-    is written, only once every staged write succeeded.
+
+def _emit_all(outputs):
+    """Write ``(render, path)`` outputs, a None path meaning stdout, all or none.
+
+    A missing or regular-file path is staged: ``render()`` goes to a temporary
+    file beside it, given the file's mode, and every staged file is renamed
+    into place once all are written.  Any other path (a device, a FIFO, a
+    symlink such as /dev/stdout) is opened, without truncating it, before
+    staging begins, and written, like stdout, after the renames.
     """
-    staged = []
-    try:
-        for text, path in outputs:
-            if path:
-                tmp = f"{path}.{os.getpid()}.tmp"
+    pending, staged, direct = [], [], []
+    with contextlib.ExitStack() as opened:
+        try:
+            for k, (render, path) in enumerate(outputs):
+                st = os.lstat(path) if path and os.path.lexists(path) else None
+                if path and (st is None or stat.S_ISREG(st.st_mode)):
+                    pending.append((render, f"{path}.{os.getpid()}.{k}.tmp", path, st))
+                elif path:
+                    handle = open(path, "a", encoding="utf-8", newline="")
+                    direct.append((render, opened.enter_context(handle)))
+                else:
+                    direct.append((render, sys.stdout))
+            for render, tmp, path, st in pending:
                 with open(tmp, "x", encoding="utf-8", newline="") as handle:
                     staged.append((tmp, path))
-                    handle.write(text)
-        while staged:
-            os.replace(*staged[-1])
-            staged.pop()
-    finally:
-        for tmp, _ in staged:
-            os.remove(tmp)
-    for text, path in outputs:
-        if not path:
-            sys.stdout.write(text)
+                    if st:
+                        os.chmod(tmp, stat.S_IMODE(st.st_mode))
+                    handle.write(render())
+            while staged:
+                os.replace(*staged[0])
+                del staged[0]
+        finally:
+            for tmp, _ in staged:
+                os.remove(tmp)
+        for render, handle in direct:
+            if handle is not sys.stdout and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate(0)
+            handle.write(render())
 
 
 def _load_heap(path: str) -> Heap:
@@ -117,10 +141,10 @@ def _cmd_abstract(args) -> int:
                 f" merges {len(r.merge_log)}",
                 file=sys.stderr,
             )
-    outputs = [(serialize_heap(out_heap), args.out)]
+    outputs = [(lambda: serialize_heap(out_heap), args.out)]
     if args.witness:
-        outputs.append((serialize_witnesses([r.witness for r in results]), args.witness))
-    _emit(*outputs)
+        outputs.append((lambda: serialize_witnesses([r.witness for r in results]), args.witness))
+    _emit_all(outputs)
     return OK
 
 
@@ -142,7 +166,7 @@ def _cmd_classify(args) -> int:
             reasons = ",".join(r.value for r in k.reasons)
             label = "special" if k.special else "ordinary"
             lines.append(f"component {i} {n} {label}" + (f" [{reasons}]" if reasons else ""))
-    _emit(("\n".join(lines) + ("\n" if lines else ""), None))
+    _emit("\n".join(lines) + ("\n" if lines else ""), None)
     return OK
 
 
@@ -198,7 +222,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     heap = _load_heap(args.heap)
-    _emit((export_dot(heap), args.out))
+    _emit(export_dot(heap), args.out)
     return OK
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,55 @@ class TestAbstract:
         assert "error" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_directory_writes_no_witness(self, tmp_path):
+        # The directory is refused before the witness is put in place.
+        (tmp_path / "odir").mkdir()
+        argv = ["abstract", FIG1, "--out", str(tmp_path / "odir"), "--witness", str(tmp_path / "w.json")]
+        assert run(argv) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "odir"]
+        assert list((tmp_path / "odir").iterdir()) == []
+
+    def test_fifo_out_is_written_in_place(self, tmp_path):
+        # A destination that is not a regular file keeps its type.
+        fifo, wit = tmp_path / "o.fifo", tmp_path / "w.json"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(["abstract", FIG1, "--out", str(fifo), "--witness", str(wit)]) == 0
+            text = os.read(reader, 1 << 16).decode("utf-8")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert len(json.loads(text)["components"][0]["nodes"]) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.fifo", "w.json"]
+
+    def test_symlink_out_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("old", encoding="utf-8")
+        link.symlink_to(real)
+        # Opened before anything is staged, but written only after every
+        # other output succeeded.
+        assert run(["abstract", FIG1, "--out", str(link), "--witness", str(tmp_path / "no/w")]) == 2
+        assert real.read_text(encoding="utf-8") == "old"
+        assert run(["abstract", FIG1, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert len(json.loads(real.read_text(encoding="utf-8"))["components"][0]["nodes"]) == 4
+
+    def test_existing_out_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "o.json"
+        out.write_text("old", encoding="utf-8")
+        out.chmod(0o640)
+        assert run(["abstract", FIG1, "--out", str(out), "--witness", str(tmp_path / "w.json")]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text(encoding="utf-8") != "old"
+
+    def test_out_and_witness_naming_one_file(self, tmp_path):
+        # The witness document is written last, so it is what the file holds.
+        same = str(tmp_path / "same.json")
+        assert run(["abstract", FIG1, "--out", same, "--witness", same]) == 0
+        assert "witnesses" in json.loads(Path(same).read_text(encoding="utf-8"))
+        assert [p.name for p in tmp_path.iterdir()] == ["same.json"]
 
 
 @pytest.mark.parametrize("command", ["abstract", "classify"])
