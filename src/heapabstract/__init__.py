@@ -14,11 +14,6 @@ from .abstraction import (
     AbstractionResult,
     MergeEvent,
     abstract_component,
-    abstract_cycle,
-    abstract_dag,
-    abstract_sll,
-    abstract_tree,
-    heap_abstract,
     heap_abstract_results,
 )
 from .classify import (
@@ -49,15 +44,12 @@ from .errors import (
 from .formats import (
     export_dot,
     parse_heap,
-    parse_witness,
     parse_witnesses,
     serialize_heap,
-    serialize_witness,
     serialize_witnesses,
 )
 from .model import (
     Component,
-    ComponentIndex,
     Edge,
     Heap,
     Layout,
@@ -86,7 +78,6 @@ __all__ = [
     "AbstractionResult",
     "BudgetExceededError",
     "Component",
-    "ComponentIndex",
     "DomainMismatchError",
     "Edge",
     "EmptyComponentError",
@@ -112,10 +103,6 @@ __all__ = [
     "Violation",
     "Witness",
     "abstract_component",
-    "abstract_cycle",
-    "abstract_dag",
-    "abstract_sll",
-    "abstract_tree",
     "check_valid_abstraction",
     "compose",
     "depth_map",
@@ -124,7 +111,6 @@ __all__ = [
     "entry_nodes",
     "export_dot",
     "find_witness_bruteforce",
-    "heap_abstract",
     "heap_abstract_results",
     "height",
     "identity_witness",
@@ -132,14 +118,12 @@ __all__ = [
     "node_classes",
     "ordinary_nodes",
     "parse_heap",
-    "parse_witness",
     "parse_witnesses",
     "ref_similar_dag",
     "reference_similar",
     "reference_similar_set",
     "region_edges",
     "serialize_heap",
-    "serialize_witness",
     "serialize_witnesses",
     "validate_component",
 ]

@@ -28,7 +28,6 @@ from .model import (
     Layout,
     NodeEdge,
     TreeEdge,
-    _require_layout,
     validate_component,
 )
 from .witness import Witness
@@ -136,7 +135,12 @@ def _merge_tree(index: ComponentIndex, ordinary: set) -> tuple:
 
 
 def _merge_dag(index: ComponentIndex, ordinary: set) -> tuple:
-    """DAG merges: each reference-similar group collapses onto its smallest member."""
+    """DAG merges: each reference-similar group collapses onto its smallest member.
+
+    The kept member gains a self edge.  Because group members share
+    predecessor and successor sets, every edge of a removed member has
+    its image on the kept member.
+    """
     parent: dict = {}
     log = []
     groups = similarity_groups(index, ordinary)
@@ -202,35 +206,6 @@ def abstract_component(c: Component) -> AbstractionResult:
     return _quotient(c, parent, log)
 
 
-def abstract_sll(c: Component) -> AbstractionResult:
-    """Abstract a list component by merging runs of ordinary nodes."""
-    _require_layout(c, Layout.SLL, "list abstraction")
-    return abstract_component(c)
-
-
-def abstract_cycle(c: Component) -> AbstractionResult:
-    """Abstract a cycle component by merging its ordinary arcs."""
-    _require_layout(c, Layout.C, "cycle abstraction")
-    return abstract_component(c)
-
-
-def abstract_tree(c: Component) -> AbstractionResult:
-    """Abstract a tree component by folding child pairs into their parents."""
-    _require_layout(c, Layout.T, "tree abstraction")
-    return abstract_component(c)
-
-
-def abstract_dag(c: Component) -> AbstractionResult:
-    """Abstract a DAG component by collapsing reference-similar groups.
-
-    Each multi-node group keeps its smallest member, which gains a self
-    edge.  Because group members share predecessor and successor sets,
-    every edge of a removed member has its image on the kept member.
-    """
-    _require_layout(c, Layout.DAG, "DAG abstraction")
-    return abstract_component(c)
-
-
 def heap_abstract_results(h: Heap) -> list:
     """Abstract every component of a heap, keeping the detailed results.
 
@@ -244,8 +219,3 @@ def heap_abstract_results(h: Heap) -> list:
             raise InvalidComponentError(exc.violations, index=i) from None
     return results
 
-
-def heap_abstract(h: Heap) -> tuple:
-    """Abstract a heap component-wise; returns the new heap and witnesses."""
-    results = heap_abstract_results(h)
-    return Heap(tuple(r.output for r in results)), [r.witness for r in results]

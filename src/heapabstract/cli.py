@@ -55,14 +55,6 @@ def _read(path: str) -> str:
             ) from None
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_all(outputs):
     """Write ``(render, path)`` outputs, a None path meaning stdout, all or none.
 
@@ -166,7 +158,7 @@ def _cmd_classify(args) -> int:
             reasons = ",".join(r.value for r in k.reasons)
             label = "special" if k.special else "ordinary"
             lines.append(f"component {i} {n} {label}" + (f" [{reasons}]" if reasons else ""))
-    _emit("\n".join(lines) + ("\n" if lines else ""), None)
+    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return OK
 
 
@@ -222,8 +214,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     heap = _load_heap(args.heap)
-    _emit(export_dot(heap), args.out)
+    _emit_all([(lambda: export_dot(heap), args.out)])
     return OK
+
+
+def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,8 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abstract", help="abstract every component of a heap")
     p.add_argument("heap")
-    p.add_argument("--out", help="write the abstract heap here instead of stdout")
-    p.add_argument("--witness", help="write the witnesses document here")
+    p.add_argument(
+        "--out", type=_output_path, help="write the abstract heap here instead of stdout"
+    )
+    p.add_argument("--witness", type=_output_path, help="write the witnesses document here")
     p.add_argument("--stats", action="store_true", help="print per-component merge stats")
     p.set_defaults(handler=_cmd_abstract)
 
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="render a heap as a Graphviz document")
     p.add_argument("heap")
-    p.add_argument("--out", help="write the DOT document here instead of stdout")
+    p.add_argument("--out", type=_output_path, help="write the DOT document here instead of stdout")
     p.set_defaults(handler=_cmd_export_dot)
 
     return parser

@@ -305,22 +305,13 @@ def _witness_from_doc(doc, path: str) -> Witness:
     return Witness(node_map, edge_map)
 
 
-def parse_witness(text: str) -> Witness:
-    """Parse a witness document.
-
-    Only the document is checked here; whether the witness fits a source
-    and a target component is for :func:`check_valid_abstraction`.
-    """
-    return _witness_from_doc(_load_json(text), "$")
-
-
-def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:
-    member = "," + _INDENT[depth + 1]
+def _put_witness(out: list, w: Witness, quote: _Quoted) -> None:
+    # A witness is an item of the witnesses array, at depth 2.
     node_map = w.node_map
-    out.append("{" + _INDENT[depth + 1] + '"node_map": ')
+    out.append("{" + _INDENT[3] + '"node_map": ')
     entries = [quote[k] + ": " + quote[node_map[k]] for k in sorted(node_map)]
-    _put_items(out, entries, depth + 1, "{}")
-    out.append(member + '"edge_map": ')
+    _put_items(out, entries, 3, "{}")
+    out.append("," + _INDENT[3] + '"edge_map": ')
     # Each entry is a [source edge, image edge] pair; an edge is its own
     # array, and source edges are distinct, so the entries sort by source edge.
     sources = sorted(w.edge_map)
@@ -328,7 +319,7 @@ def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:
         out.append("[]")
     else:
         get = quote.__getitem__
-        entry, edge, field = _INDENT[depth + 2], _INDENT[depth + 3], _INDENT[depth + 4]
+        entry, edge, field = _INDENT[4], _INDENT[5], _INDENT[6]
         head, later = "[" + entry + "[" + edge + "[" + field, "," + entry + "[" + edge + "[" + field
         sep, middle = "," + field, edge + "]," + edge + "[" + field
         tail = edge + "]" + entry + "]"
@@ -336,16 +327,8 @@ def _put_witness(out: list, w: Witness, depth: int, quote: _Quoted) -> None:
             out.append(head + sep.join(map(get, source)) + middle)
             out.append(sep.join(map(get, w.edge_map[source])) + tail)
             head = later
-        out.append(_INDENT[depth + 1] + "]")
-    out.append(_INDENT[depth] + "}")
-
-
-def serialize_witness(w: Witness) -> str:
-    """Serialize one witness to its canonical document."""
-    out: list = []
-    _put_witness(out, w, 0, _Quoted())
-    out.append("\n")
-    return "".join(out)
+        out.append(_INDENT[3] + "]")
+    out.append(_INDENT[2] + "}")
 
 
 def parse_witnesses(text: str) -> list:
@@ -359,7 +342,7 @@ def parse_witnesses(text: str) -> list:
 def serialize_witnesses(witnesses) -> str:
     """Serialize the per-component witnesses of one heap run."""
     quote = _Quoted()
-    return _document("witnesses", witnesses, lambda out, w: _put_witness(out, w, 2, quote))
+    return _document("witnesses", witnesses, lambda out, w: _put_witness(out, w, quote))
 
 
 _DOT_SAFE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")  # used with fullmatch

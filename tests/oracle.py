@@ -327,9 +327,5 @@ def _witness_doc(w: Witness) -> dict:
     return {"node_map": node_map, "edge_map": entries}
 
 
-def serialize_witness(w: Witness) -> str:
-    return _dump(_witness_doc(w))
-
-
 def serialize_witnesses(witnesses) -> str:
     return _dump({"witnesses": [_witness_doc(w) for w in witnesses]})

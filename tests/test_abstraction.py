@@ -24,12 +24,7 @@ from heapabstract import (
     UnknownNodeError,
     VarEdge,
     abstract_component,
-    abstract_cycle,
-    abstract_dag,
-    abstract_sll,
-    abstract_tree,
     check_valid_abstraction,
-    heap_abstract,
     heap_abstract_results,
     identity_witness,
     isomorphic,
@@ -137,7 +132,7 @@ class TestRemoveNodesTree:
 
 class TestAbstractSll:
     def test_fig1_output(self, fig1):
-        result = abstract_sll(fig1)
+        result = abstract_component(fig1)
         assert result.output.nodes == {"h0", "h1", "h6", "h7"}
         assert result.output.edges == {
             ve("s", "h0"),
@@ -167,7 +162,7 @@ class TestAbstractSll:
 
     def test_single_var_node_unchanged(self):
         c = comp(Layout.SLL, vars={"v"}, nodes={"a"}, edges={ve("v", "a")})
-        result = abstract_sll(c)
+        result = abstract_component(c)
         assert result.output == c
         assert result.witness == identity_witness(c)
         assert result.merge_log == ()
@@ -179,23 +174,19 @@ class TestAbstractSll:
             nodes={"a", "b", "c"},
             edges={ve("v", "a"), ne("a", "b"), ne("b", "c")},
         )
-        result = abstract_sll(c)
+        result = abstract_component(c)
         assert result.output.nodes == {"a", "b"}
         assert result.output.edges == {ve("v", "a"), ne("a", "b"), ne("b", "b")}
-
-    def test_rejects_wrong_layout(self, fig3):
-        with pytest.raises(LayoutMismatchError):
-            abstract_sll(fig3)
 
     def test_rejects_invalid_component(self):
         c = comp(Layout.SLL, nodes={"a", "b"}, edges={te("a", "b", "l")})
         with pytest.raises(InvalidComponentError):
-            abstract_sll(c)
+            abstract_component(c)
 
 
 class TestAbstractTree:
     def test_fig2_output(self, fig2):
-        result = abstract_tree(fig2)
+        result = abstract_component(fig2)
         assert result.output.nodes == {
             "h0",
             "h1",
@@ -232,13 +223,13 @@ class TestAbstractTree:
 
     def test_single_node_tree_unchanged(self):
         c = comp(Layout.T, vars={"R"}, nodes={"a"}, edges={ve("R", "a")})
-        result = abstract_tree(c)
+        result = abstract_component(c)
         assert result.output == c
         assert result.merge_log == ()
 
     def test_empty_tree(self):
         c = comp(Layout.T)
-        result = abstract_tree(c)
+        result = abstract_component(c)
         assert result.output == c
 
     def test_three_level_perfect_tree(self):
@@ -254,7 +245,7 @@ class TestAbstractTree:
             te("b", "br", "r"),
         }
         c = comp(Layout.T, vars={"R"}, nodes={"r", "a", "b", "al", "ar", "bl", "br"}, edges=edges)
-        result = abstract_tree(c)
+        result = abstract_component(c)
         assert result.output.nodes == {"r", "a", "b"}
         assert result.output.edges == {
             ve("R", "r"),
@@ -282,7 +273,7 @@ class TestAbstractTree:
             nodes={"r", "a", "b", "c", "x", "z"},
             edges=edges,
         )
-        result = abstract_tree(c)
+        result = abstract_component(c)
         assert "x" in result.output.nodes
         assert te("b", "x", "l") in result.output.edges
         assert validate_component(result.output) == []
@@ -307,19 +298,15 @@ class TestAbstractTree:
             nodes={"r", "g", "b", "c", "p", "q", "z"},
             edges=edges,
         )
-        result = abstract_tree(c)
+        result = abstract_component(c)
         assert {"p", "q", "b"} <= result.output.nodes
         assert validate_component(result.output) == []
         assert check_valid_abstraction(c, result.output, result.witness) == []
 
-    def test_rejects_wrong_layout(self, fig1):
-        with pytest.raises(LayoutMismatchError):
-            abstract_tree(fig1)
-
 
 class TestAbstractCycle:
     def test_fig3_output(self, fig3):
-        result = abstract_cycle(fig3)
+        result = abstract_component(fig3)
         assert result.output.nodes == {"h0", "h1", "h2", "h7"}
         assert result.output.edges == {
             ve("s", "h0"),
@@ -344,7 +331,7 @@ class TestAbstractCycle:
             nodes={"a", "b"},
             edges={ve("v", "a"), ne("a", "b"), ne("b", "a")},
         )
-        result = abstract_cycle(c)
+        result = abstract_component(c)
         assert result.output == c
         assert result.witness == identity_witness(c)
 
@@ -355,7 +342,7 @@ class TestAbstractCycle:
             nodes={"a", "b", "c", "d"},
             edges={ve("v", "a"), ne("a", "b"), ne("b", "c"), ne("c", "d"), ne("d", "a")},
         )
-        result = abstract_cycle(c)
+        result = abstract_component(c)
         assert result.output.nodes == {"a", "b"}
         assert result.output.edges == {ve("v", "a"), ne("a", "b"), ne("b", "b"), ne("b", "a")}
 
@@ -363,7 +350,7 @@ class TestAbstractCycle:
         nodes = [f"c{i}" for i in range(5)]
         edges = {ne(nodes[i], nodes[(i + 1) % 5]) for i in range(5)}
         c = comp(Layout.C, nodes=nodes, edges=edges)
-        result = abstract_cycle(c)
+        result = abstract_component(c)
         assert result.output.nodes == {"c0"}
         assert result.output.edges == {ne("c0", "c0")}
         assert check_valid_abstraction(c, result.output, result.witness) == []
@@ -371,12 +358,12 @@ class TestAbstractCycle:
     def test_rejects_invalid_cycle(self):
         c = comp(Layout.C, nodes={"a", "b"}, edges={ne("a", "b")})
         with pytest.raises(InvalidComponentError):
-            abstract_cycle(c)
+            abstract_component(c)
 
 
 class TestAbstractDag:
     def test_fig4_output(self, fig4):
-        result = abstract_dag(fig4)
+        result = abstract_component(fig4)
         assert result.output.nodes == {"h0", "h1", "h7"}
         assert result.output.edges == {
             ve("s", "h0"),
@@ -392,7 +379,7 @@ class TestAbstractDag:
             nodes={"a", "b", "c"},
             edges={ne("a", "b"), ne("b", "c")},
         )
-        result = abstract_dag(c)
+        result = abstract_component(c)
         assert result.output == c
         assert result.witness == identity_witness(c)
 
@@ -406,7 +393,7 @@ class TestAbstractDag:
             ve("w", "d"),
         }
         c = comp(Layout.DAG, vars={"v", "w"}, nodes={"a", "b", "c", "d"}, edges=edges)
-        result = abstract_dag(c)
+        result = abstract_component(c)
         assert result.output.nodes == {"a", "b", "d"}
         assert result.output.edges == {
             ve("v", "a"),
@@ -421,7 +408,7 @@ class TestAbstractDag:
 
         broken = Component(fig4.layout, fig4.vars, fig4.nodes, fig4.edges | {ne("h1", "h0")})
         with pytest.raises(InvalidComponentError):
-            abstract_dag(broken)
+            abstract_component(broken)
 
 
 def _assert_result_invariants(c, result):
@@ -502,30 +489,23 @@ class TestHeapAbstract:
             )
             components.append(renamed)
         heap = Heap(tuple(components))
-        out, witnesses = heap_abstract(heap)
-        assert len(out.components) == 4
-        assert len(witnesses) == 4
-        for i, fig in enumerate(figures):
-            expected = abstract_component(fig).output
-            assert len(out.components[i].nodes) == len(expected.nodes)
-            assert check_valid_abstraction(components[i], out.components[i], witnesses[i]) == []
+        results = heap_abstract_results(heap)
+        assert len(results) == 4
+        for fig, c, r in zip(figures, components, results):
+            assert len(r.output.nodes) == len(abstract_component(fig).output.nodes)
+            assert check_valid_abstraction(c, r.output, r.witness) == []
         del rng
 
     def test_empty_heap(self):
-        out, witnesses = heap_abstract(Heap(()))
-        assert out == Heap(())
-        assert witnesses == []
+        assert heap_abstract_results(Heap(())) == []
 
     def test_singleton_heap_matches_component_run(self, fig1):
-        out, witnesses = heap_abstract(Heap((fig1,)))
-        result = abstract_sll(fig1)
-        assert out.components == (result.output,)
-        assert witnesses == [result.witness]
+        assert heap_abstract_results(Heap((fig1,))) == [abstract_component(fig1)]
 
     def test_invalid_component_reports_index(self, fig1):
         bad = comp(Layout.C, nodes={"x", "y"}, edges={ne("x", "y")})
         with pytest.raises(InvalidComponentError) as exc:
-            heap_abstract(Heap((fig1, bad)))
+            heap_abstract_results(Heap((fig1, bad)))
         assert exc.value.index == 1
 
     def test_results_expose_merge_logs(self, fig1):

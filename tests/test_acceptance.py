@@ -23,10 +23,6 @@ from heapabstract import (
     VarEdge,
     Witness,
     abstract_component,
-    abstract_cycle,
-    abstract_dag,
-    abstract_sll,
-    abstract_tree,
     check_valid_abstraction,
     compose,
     find_witness_bruteforce,
@@ -75,7 +71,7 @@ def bulk():
 def test_criterion_1_sll_figure(fig1):
     with criterion(1, "list figure reproduced, 8 nodes down to 4, under 1 s"):
         start = time.perf_counter()
-        result = abstract_sll(fig1)
+        result = abstract_component(fig1)
         elapsed = time.perf_counter() - start
         assert len(result.output.nodes) == 4
         assert result.output.edges == frozenset(
@@ -109,7 +105,7 @@ def test_criterion_1_sll_figure(fig1):
 
 def test_criterion_2_cycle_figure(fig3):
     with criterion(2, "cycle figure reproduced, 8 nodes down to 4"):
-        result = abstract_cycle(fig3)
+        result = abstract_component(fig3)
         assert len(result.output.nodes) == 4
         drawn = comp(
             Layout.C,
@@ -131,7 +127,7 @@ def test_criterion_2_cycle_figure(fig3):
 def test_criterion_3_tree_figure(fig2):
     with criterion(3, "tree figure reproduced as the drawn 9-node structure, under 1 s"):
         start = time.perf_counter()
-        result = abstract_tree(fig2)
+        result = abstract_component(fig2)
         elapsed = time.perf_counter() - start
         assert result.output.nodes == {
             "h0",
@@ -166,7 +162,7 @@ def test_criterion_3_tree_figure(fig2):
 def test_criterion_4_dag_figure(fig4):
     with criterion(4, "DAG figure yields the 3-node result with a self edge, under 1 s"):
         start = time.perf_counter()
-        result = abstract_dag(fig4)
+        result = abstract_component(fig4)
         elapsed = time.perf_counter() - start
         assert result.output.nodes == {"h0", "h1", "h7"}
         assert result.output.edges == frozenset(

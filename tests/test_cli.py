@@ -160,6 +160,24 @@ def test_heap_failing_validation_is_an_input_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abstract", FIG1, "--witness", ""],
+        ["abstract", FIG1, "--out", "", "--witness", "w.json"],
+        ["export-dot", FIG1, "--out", ""],
+    ],
+)
+def test_empty_output_path_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
+    # An empty path names no file: it is neither stdout nor "no output".
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "must name a file" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point(artifacts, tmp_path):
     # ``python -m heapabstract.cli`` runs the CLI and exits with its status.
     out, wit = artifacts
@@ -348,6 +366,18 @@ class TestExportDot:
         path = tmp_path / "fig1.dot"
         assert run(["export-dot", FIG1, "--out", str(path)]) == 0
         assert "h7 -> h6;" in path.read_text(encoding="utf-8")
+
+    def test_out_file_is_replaced_keeping_its_mode(self, tmp_path):
+        # --out goes through the same staged writer as abstract's outputs.
+        path = tmp_path / "fig1.dot"
+        path.write_text("old", encoding="utf-8")
+        path.chmod(0o640)
+        assert run(["export-dot", FIG1, "--out", str(path)]) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text(encoding="utf-8").startswith("digraph heap {")
+        assert list(tmp_path.iterdir()) == [path]
+        assert run(["export-dot", FIG1, "--out", str(tmp_path / "no" / "fig1.dot")]) == 2
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestArgumentHandling:

@@ -15,16 +15,13 @@ from heapabstract import (
     ModelError,
     ParseError,
     SchemaError,
-    abstract_cycle,
-    abstract_sll,
+    abstract_component,
     check_valid_abstraction,
     export_dot,
     identity_witness,
     parse_heap,
-    parse_witness,
     parse_witnesses,
     serialize_heap,
-    serialize_witness,
     serialize_witnesses,
 )
 
@@ -256,7 +253,7 @@ class TestSerializeHeap:
         )
 
     def test_golden_fig3_abstraction(self, fig3, golden_dir):
-        out = serialize_heap(Heap((abstract_cycle(fig3).output,)))
+        out = serialize_heap(Heap((abstract_component(fig3).output,)))
         golden = (golden_dir / "fig3_abstract.json").read_text(encoding="utf-8")
         assert out == golden
 
@@ -272,28 +269,24 @@ class TestSerializeHeap:
 class TestWitnessDocuments:
     def test_identity_of_single_node_component(self):
         c = comp(Layout.SLL, vars={"v"}, nodes={"n"}, edges={ve("v", "n")})
-        text = serialize_witness(identity_witness(c))
-        doc = json.loads(text)
+        [doc] = json.loads(serialize_witnesses([identity_witness(c)]))["witnesses"]
         assert doc["node_map"] == {"n": "n"}
         assert doc["edge_map"] == [[["var", "v", "n"], ["var", "v", "n"]]]
 
     def test_roundtrip_on_abstraction_witnesses(self, fig1, fig2, fig3, fig4):
-        from heapabstract import abstract_component
-
         for c in (fig1, fig2, fig3, fig4):
             w = abstract_component(c).witness
-            text = serialize_witness(w)
-            assert parse_witness(text) == w
-            assert serialize_witness(parse_witness(text)) == text
+            text = serialize_witnesses([w])
+            assert parse_witnesses(text) == [w]
+            assert serialize_witnesses(parse_witnesses(text)) == text
 
     def test_unknown_node_with_context(self, fig1):
         # The parser checks only the document; whether the witness fits its
         # components is for the checker to say.
-        result = abstract_sll(fig1)
-        text = serialize_witness(result.witness)
-        doc = json.loads(text)
-        doc["node_map"]["ghost"] = "h1"
-        w = parse_witness(json.dumps(doc))
+        result = abstract_component(fig1)
+        doc = json.loads(serialize_witnesses([result.witness]))
+        doc["witnesses"][0]["node_map"]["ghost"] = "h1"
+        [w] = parse_witnesses(json.dumps(doc))
         found = check_valid_abstraction(fig1, result.output, w)
         assert [v.code for v in found] == ["NodeMapDomainUnknown"]
 
@@ -304,21 +297,22 @@ class TestWitnessDocuments:
         assert (exc.value.code, exc.value.location) == ("WrongType", "$.witnesses[0].node_map")
 
     def test_context_free_parse_accepts_any_ids(self):
-        text = '{"node_map": {"x": "y"}, "edge_map": []}'
-        w = parse_witness(text)
+        text = '{"witnesses": [{"node_map": {"x": "y"}, "edge_map": []}]}'
+        [w] = parse_witnesses(text)
         assert w.node_map == {"x": "y"}
 
     def test_unknown_edge_kind(self):
-        text = '{"node_map": {}, "edge_map": [[["arc", "a", "b"], ["arc", "a", "b"]]]}'
+        entry = [["arc", "a", "b"], ["arc", "a", "b"]]
+        text = json.dumps({"witnesses": [{"node_map": {}, "edge_map": [entry]}]})
         with pytest.raises(SchemaError) as exc:
-            parse_witness(text)
+            parse_witnesses(text)
         assert exc.value.code == "UnknownEdgeKind"
 
     def test_duplicate_edge_entry(self):
         entry = [["node", "a", "b"], ["node", "a", "b"]]
-        text = json.dumps({"node_map": {}, "edge_map": [entry, entry]})
+        text = json.dumps({"witnesses": [{"node_map": {}, "edge_map": [entry, entry]}]})
         with pytest.raises(SchemaError) as exc:
-            parse_witness(text)
+            parse_witnesses(text)
         assert exc.value.code == "DuplicateEdge"
 
     def test_witness_set_roundtrip(self, fig1, fig3):

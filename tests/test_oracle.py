@@ -19,7 +19,6 @@ from conftest import GOLDEN_DIR, load_component
 from genheaps import GENERATORS, comp, ne, random_component, te, ve
 from heapabstract import (
     Component,
-    ComponentIndex,
     Heap,
     Layout,
     abstract_component,
@@ -29,6 +28,7 @@ from heapabstract import (
     validate_component,
 )
 from heapabstract.cli import run
+from heapabstract.model import ComponentIndex
 
 ACCEPTANCE_SEEDS = {Layout.SLL: 101, Layout.T: 202, Layout.C: 303, Layout.DAG: 404}
 

@@ -2,10 +2,10 @@
 
 ``oracle.py`` keeps the original serializers, which build each document
 as dicts and lists and dump it with the standard library.  The writers in
-``heapabstract.formats`` must give byte-identical text for heaps, single
-witnesses and witness sets: on the fixtures, the golden file, the four
-acceptance corpora (inputs, abstractions and witnesses), empty shapes,
-and ids that JSON must escape.
+``heapabstract.formats`` must give byte-identical text for heaps and
+witness sets: on the fixtures, the golden file, the four acceptance
+corpora (inputs, abstractions and witnesses), empty shapes, and ids that
+JSON must escape.
 """
 
 import random
@@ -25,7 +25,6 @@ from heapabstract import (
     identity_witness,
     parse_heap,
     serialize_heap,
-    serialize_witness,
     serialize_witnesses,
 )
 
@@ -51,8 +50,6 @@ def _assert_heap_matches(h):
 
 
 def _assert_witnesses_match(witnesses):
-    for w in witnesses:
-        _assert_same(serialize_witness(w), oracle.serialize_witness(w))
     _assert_same(serialize_witnesses(witnesses), oracle.serialize_witnesses(witnesses))
 
 
@@ -99,7 +96,9 @@ def test_empty_shapes_match_reference():
     _assert_witnesses_match([])
     _assert_witnesses_match([empty])
     _assert_witnesses_match([empty, nodes_only, identity_witness(no_vars)])
-    assert serialize_witness(empty) == '{\n  "node_map": {},\n  "edge_map": []\n}\n'
+    assert serialize_witnesses([empty]) == (
+        '{\n  "witnesses": [\n    {\n      "node_map": {},\n      "edge_map": []\n    }\n  ]\n}\n'
+    )
 
 
 ESCAPED = ('q"uote', "back\\slash", "café", "ctl\u0001", "smile\U0001F600")

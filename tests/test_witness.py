@@ -14,8 +14,6 @@ from heapabstract import (
     Layout,
     Witness,
     abstract_component,
-    abstract_cycle,
-    abstract_sll,
     check_valid_abstraction,
     compose,
     find_witness_bruteforce,
@@ -32,7 +30,7 @@ def codes(violations):
 
 class TestCheckValidAbstraction:
     def test_produced_witness_validates(self, fig1):
-        result = abstract_sll(fig1)
+        result = abstract_component(fig1)
         assert check_valid_abstraction(fig1, result.output, result.witness) == []
 
     def test_identity_is_valid(self, fig1, fig2, fig3, fig4):
@@ -40,7 +38,7 @@ class TestCheckValidAbstraction:
             assert check_valid_abstraction(c, c, identity_witness(c)) == []
 
     def test_missing_image_edge_detected(self, fig1):
-        result = abstract_sll(fig1)
+        result = abstract_component(fig1)
         target = Component(
             result.output.layout,
             result.output.vars,
@@ -97,7 +95,7 @@ class TestCheckValidAbstraction:
         assert "NodeMapImageUnknown" in codes(check_valid_abstraction(fig1, fig1, bad))
 
     def test_ghost_node_and_edge(self, fig1):
-        result = abstract_sll(fig1)
+        result = abstract_component(fig1)
         w = result.witness
         ghost = ne("ghost", "ghost2")
         bad = Witness({**w.node_map, "ghost": "h1"}, {**w.edge_map, ghost: ne("h1", "h1")})
@@ -177,7 +175,7 @@ class TestCheckValidAbstraction:
 
 class TestCompose:
     def test_identity_laws(self, fig1):
-        result = abstract_sll(fig1)
+        result = abstract_component(fig1)
         w = result.witness
         left = compose(identity_witness(fig1), w)
         assert left == w
@@ -199,9 +197,9 @@ class TestCompose:
         )
         w1 = Witness(first_map, {e: e.image(first_map) for e in fig1.edges})
         assert check_valid_abstraction(fig1, intermediate, w1) == []
-        rest = abstract_sll(intermediate)
+        rest = abstract_component(intermediate)
         combined = compose(w1, rest.witness)
-        full = abstract_sll(fig1)
+        full = abstract_component(fig1)
         assert combined == full.witness
         assert check_valid_abstraction(fig1, rest.output, combined) == []
 
@@ -278,7 +276,7 @@ class TestBruteForce:
             nodes={"a", "b", "c", "d"},
             edges={ve("v", "a"), ne("a", "b"), ne("b", "c"), ne("c", "d"), ne("d", "a")},
         )
-        result = abstract_cycle(c)
+        result = abstract_component(c)
         found = find_witness_bruteforce(c, result.output)
         assert found is not None
         assert check_valid_abstraction(c, result.output, found) == []
@@ -353,7 +351,7 @@ class TestIsomorphic:
             assert isomorphic(c, c)
 
     def test_fig1_output_matches_drawn_abstraction(self, fig1):
-        result = abstract_sll(fig1)
+        result = abstract_component(fig1)
         drawn = comp(
             Layout.SLL,
             vars={"s", "e"},
