@@ -30,7 +30,7 @@ from .model import (
     TreeEdge,
     validate_component,
 )
-from .witness import Witness
+from .witness import EdgeImages, Witness
 
 
 @dataclass(frozen=True)
@@ -178,15 +178,14 @@ def _survivors(nodes, parent: dict) -> dict:
 
 def _quotient(c: Component, parent: dict, log: list) -> AbstractionResult:
     node_map = _survivors(c.nodes, parent)
-    edge_map = {e: e.image(node_map) for e in c.edges}
-    edges = set(edge_map.values())
+    edges = {e.image(node_map) for e in c.edges}
     for s in {node_map[n] for n in parent}:
         if c.layout is Layout.T:
             edges.update((TreeEdge(s, s, "l"), TreeEdge(s, s, "r")))
         else:
             edges.add(NodeEdge(s, s))
     output = Component(c.layout, c.vars, frozenset(node_map.values()), frozenset(edges))
-    return AbstractionResult(output, Witness(node_map, edge_map), tuple(log))
+    return AbstractionResult(output, Witness(node_map, EdgeImages(c.edges, node_map)), tuple(log))
 
 
 def abstract_component(c: Component) -> AbstractionResult:

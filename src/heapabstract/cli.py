@@ -28,13 +28,7 @@ from .errors import (
     InvalidComponentError,
     ParseError,
 )
-from .formats import (
-    export_dot,
-    parse_heap,
-    parse_witnesses,
-    serialize_heap,
-    serialize_witnesses,
-)
+from .formats import _heap_chunks, _witness_chunks, export_dot, parse_heap, parse_witnesses
 from .model import ComponentIndex, Heap, validate_component
 from .witness import check_valid_abstraction, find_witness_bruteforce
 
@@ -56,42 +50,44 @@ def _read(path: str) -> str:
 
 
 def _emit_all(outputs):
-    """Write ``(render, path)`` outputs, a None path meaning stdout, all or none.
+    """Write ``(chunks, path)`` outputs, a None path meaning stdout.
 
-    A missing or regular-file path is staged: ``render()`` goes to a temporary
+    ``chunks`` is a lazy iterable of strings, each written as it comes.  A
+    missing or regular-file path is staged: the chunks go to a temporary
     file beside it, given the file's mode, and every staged file is renamed
-    into place once all are written.  Any other path (a device, a FIFO, a
-    symlink such as /dev/stdout) is opened, without truncating it, before
-    staging begins, and written, like stdout, after the renames.
+    into place once all are written, so these are written all or none.  Any
+    other path (a device, a FIFO, a symlink such as /dev/stdout) is opened,
+    without truncating it, before staging begins, and written, like stdout,
+    after the renames; a failed write can leave part of its document there.
     """
     pending, staged, direct = [], [], []
     with contextlib.ExitStack() as opened:
         try:
-            for k, (render, path) in enumerate(outputs):
+            for k, (chunks, path) in enumerate(outputs):
                 st = os.lstat(path) if path and os.path.lexists(path) else None
                 if path and (st is None or stat.S_ISREG(st.st_mode)):
-                    pending.append((render, f"{path}.{os.getpid()}.{k}.tmp", path, st))
+                    pending.append((chunks, f"{path}.{os.getpid()}.{k}.tmp", path, st))
                 elif path:
                     handle = open(path, "a", encoding="utf-8", newline="")
-                    direct.append((render, opened.enter_context(handle)))
+                    direct.append((chunks, opened.enter_context(handle)))
                 else:
-                    direct.append((render, sys.stdout))
-            for render, tmp, path, st in pending:
+                    direct.append((chunks, sys.stdout))
+            for chunks, tmp, path, st in pending:
                 with open(tmp, "x", encoding="utf-8", newline="") as handle:
                     staged.append((tmp, path))
                     if st:
                         os.chmod(tmp, stat.S_IMODE(st.st_mode))
-                    handle.write(render())
+                    handle.writelines(chunks)
             while staged:
                 os.replace(*staged[0])
                 del staged[0]
         finally:
             for tmp, _ in staged:
                 os.remove(tmp)
-        for render, handle in direct:
+        for chunks, handle in direct:
             if handle is not sys.stdout and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                 handle.truncate(0)
-            handle.write(render())
+            handle.writelines(chunks)
 
 
 def _load_heap(path: str) -> Heap:
@@ -133,9 +129,9 @@ def _cmd_abstract(args) -> int:
                 f" merges {len(r.merge_log)}",
                 file=sys.stderr,
             )
-    outputs = [(lambda: serialize_heap(out_heap), args.out)]
+    outputs = [(_heap_chunks(out_heap), args.out)]
     if args.witness:
-        outputs.append((lambda: serialize_witnesses([r.witness for r in results]), args.witness))
+        outputs.append((_witness_chunks([r.witness for r in results]), args.witness))
     _emit_all(outputs)
     return OK
 
@@ -214,7 +210,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     heap = _load_heap(args.heap)
-    _emit_all([(lambda: export_dot(heap), args.out)])
+    _emit_all([([export_dot(heap)], args.out)])
     return OK
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import re
-from json.encoder import encode_basestring_ascii
+from bisect import bisect_left
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ModelError, ParseError, SchemaError
 from .model import (
@@ -95,7 +97,7 @@ def _bad_label(label, path: str) -> SchemaError:
     return SchemaError("BadLabel", f"label must be 'l' or 'r', got {label!r}", path)
 
 
-def _refuse_edge(row, path: str, kind: type, layout: Layout, firsts: set, nodes: set):
+def _refuse_edge(row, path: str, kind: type, layout: Layout, firsts: dict, nodes: dict):
     """Raise the error of an edge row that the edge loop refused.
 
     The checks run in a fixed order: the row is a list of the right
@@ -135,9 +137,9 @@ def _parse_component(doc, path: str) -> Component:
             "UnknownLayout", f"unknown layout {layout_name!r}", f"{path}.layout"
         ) from None
 
-    variables = set(_parse_id_list(obj["variables"], f"{path}.variables"))
-    nodes = set(_parse_id_list(obj["nodes"], f"{path}.nodes"))
-    overlap = variables & nodes
+    variables = {v: v for v in _parse_id_list(obj["variables"], f"{path}.variables")}
+    nodes = {n: n for n in _parse_id_list(obj["nodes"], f"{path}.nodes")}
+    overlap = variables.keys() & nodes.keys()
     if overlap:
         raise ModelError(
             "IdClash",
@@ -146,8 +148,9 @@ def _parse_component(doc, path: str) -> Component:
         )
 
     # A row between declared ids (which are tokens, so membership proves
-    # the token) becomes its edge; any other row is refused with the error
-    # and location that name what is wrong with it.
+    # the token) becomes its edge, its ids swapped for the declared id
+    # objects so that each id is held once; any other row is refused with
+    # the error and location that name what is wrong with it.
     tree = layout is Layout.T
     edges: set = set()
     for key, kind, arity, firsts in (
@@ -156,10 +159,11 @@ def _parse_component(doc, path: str) -> Component:
     ):
         for i, row in enumerate(_require_list(obj[key], f"{path}.{key}")):
             try:
-                if type(row) is list and len(row) == arity and row[0] in firsts and row[1] in nodes:
+                if type(row) is list and len(row) == arity:
+                    row[0], row[1] = firsts[row[0]], nodes[row[1]]
                     edges.add(kind(*row))
                     continue
-            except (TypeError, ValueError):  # an unhashable id; a tree edge's label
+            except (KeyError, TypeError, ValueError):  # an undeclared or unhashable id; a bad label
                 pass
             _refuse_edge(row, f"{path}.{key}[{i}]", kind, layout, firsts, nodes)
 
@@ -187,79 +191,77 @@ def parse_heap(text: str) -> Heap:
 # the fixed-schema documents below, written directly: json.dumps only uses
 # its C encoder when no indent is given.  Strings are escaped by
 # encode_basestring_ascii, which is what json.dumps applies by default.
-# Writers append pieces to one list that is joined once, and an id's
-# literal is shared by all its occurrences, so little is held at a time.
+# Writers append pieces, each at most one row, to a list that is joined
+# and handed on as a chunk whenever it holds _CHUNK pieces, so no document
+# is held whole.
 _INDENT = ["\n" + "  " * depth for depth in range(8)]
+_CHUNK = 1024
 
 
-class _Quoted(dict):
-    """JSON string literals of ids, each encoded once."""
+def _document(key: str, items, put):
+    """Chunks of ``{key: [items]}`` as canonical text.
 
-    def __missing__(self, ident: str) -> str:
-        literal = self[ident] = encode_basestring_ascii(ident)
-        return literal
-
-
-def _document(key: str, items, put) -> str:
-    """``{key: [items]}`` as canonical text; ``put(out, item)`` appends one item."""
+    ``put(out, item)`` appends one item's pieces to ``out`` and yields each
+    chunk it fills.
+    """
     out = ["{" + _INDENT[1] + f'"{key}": ']
     opening = "["
     for item in items:
         out.append(opening + _INDENT[2])
-        put(out, item)
+        yield from put(out, item)
         opening = ","
     out.append(_INDENT[1] + "]" if opening == "," else "[]")
     out.append(_INDENT[0] + "}\n")
-    return "".join(out)
+    yield "".join(out)
 
 
-def _put_items(out: list, items: list, depth: int, brackets: str = "[]") -> None:
-    """Append encoded items as a JSON array (or object, given "{}") at ``depth``."""
-    if not items:
-        out.append(brackets)
-        return
-    inner = _INDENT[depth + 1]
-    out.append(brackets[0] + inner + ("," + inner).join(items) + _INDENT[depth] + brackets[1])
+def _put_array(out: list, texts, depth: int, brackets: str = "[]"):
+    """Append a JSON array (object, given "{}") of encoded items at ``depth``.
+
+    Each time ``out`` holds _CHUNK pieces, they are yielded as one chunk.
+    """
+    opening, later = brackets[0] + _INDENT[depth + 1], "," + _INDENT[depth + 1]
+    for text in texts:
+        out.append(opening + text)
+        opening = later
+        if len(out) >= _CHUNK:
+            yield "".join(out)
+            out.clear()
+    out.append(_INDENT[depth] + brackets[1] if opening is later else brackets)
 
 
-def _put_rows(out: list, rows: list, depth: int, quote: _Quoted) -> None:
-    """Append a JSON array at ``depth`` whose items are arrays of ids."""
-    if not rows:
-        out.append("[]")
-        return
-    get = quote.__getitem__
-    outer, inner = _INDENT[depth + 1], _INDENT[depth + 2]
-    head, later = "[" + outer + "[" + inner, "," + outer + "[" + inner
-    sep, tail = "," + inner, outer + "]"
-    for row in rows:
-        out.append(head + sep.join(map(get, row)) + tail)
-        head = later
-    out.append(_INDENT[depth] + "]")
-
-
-def _put_component(out: list, c: Component, quote: _Quoted) -> None:
+def _put_component(out: list, c: Component):
     # A component is an item of the components array, at depth 2.  An
-    # edge's heap-document row is the edge without its kind tag.
-    var_edges, node_edges = [], []
-    for e in sorted(c.edges):
-        (var_edges if isinstance(e, VarEdge) else node_edges).append(e[1:])
+    # edge's heap-document row is the edge without its kind tag.  Kind
+    # tags sort "node" < "tree" < "var", so variable edges sort last.
+    edges = sorted(c.edges)
+    first_var = bisect_left(edges, ("var",))
+    opening, sep, close = "[" + _INDENT[5], "," + _INDENT[5], _INDENT[4] + "]"
+
+    def rows(start, stop):
+        return (opening + sep.join(map(_quote, e[1:])) + close for e in islice(edges, start, stop))
+
     member = "," + _INDENT[3]
-    out.append("{" + _INDENT[3] + '"layout": ' + quote[c.layout.value])
+    out.append("{" + _INDENT[3] + '"layout": ' + _quote(c.layout.value))
     out.append(member + '"variables": ')
-    _put_items(out, [quote[v] for v in sorted(c.vars)], 3)
+    yield from _put_array(out, map(_quote, sorted(c.vars)), 3)
     out.append(member + '"nodes": ')
-    _put_items(out, [quote[n] for n in sorted(c.nodes)], 3)
+    yield from _put_array(out, map(_quote, sorted(c.nodes)), 3)
     out.append(member + '"var_edges": ')
-    _put_rows(out, var_edges, 3, quote)
+    yield from _put_array(out, rows(first_var, None), 3)
     out.append(member + '"node_edges": ')
-    _put_rows(out, node_edges, 3, quote)
+    yield from _put_array(out, rows(0, first_var), 3)
     out.append(_INDENT[2] + "}")
+
+
+def _heap_chunks(h: Heap):
+    """The canonical document of a heap, in chunks of at most _CHUNK rows."""
+    return _document("components", h.components, _put_component)
 
 
 def serialize_heap(h: Heap) -> str:
     """Serialize a heap to its canonical byte-stable document."""
-    quote = _Quoted()
-    return _document("components", h.components, lambda out, c: _put_component(out, c, quote))
+    return "".join(_heap_chunks(h))
 
 
 _EDGE_KINDS = {("var", 3): VarEdge, ("node", 3): NodeEdge, ("tree", 4): TreeEdge}
@@ -305,29 +307,25 @@ def _witness_from_doc(doc, path: str) -> Witness:
     return Witness(node_map, edge_map)
 
 
-def _put_witness(out: list, w: Witness, quote: _Quoted) -> None:
+def _put_witness(out: list, w: Witness):
     # A witness is an item of the witnesses array, at depth 2.
     node_map = w.node_map
     out.append("{" + _INDENT[3] + '"node_map": ')
-    entries = [quote[k] + ": " + quote[node_map[k]] for k in sorted(node_map)]
-    _put_items(out, entries, 3, "{}")
+    entries = (_quote(k) + ": " + _quote(node_map[k]) for k in sorted(node_map))
+    yield from _put_array(out, entries, 3, "{}")
     out.append("," + _INDENT[3] + '"edge_map": ')
     # Each entry is a [source edge, image edge] pair; an edge is its own
     # array, and source edges are distinct, so the entries sort by source edge.
-    sources = sorted(w.edge_map)
-    if not sources:
-        out.append("[]")
-    else:
-        get = quote.__getitem__
-        entry, edge, field = _INDENT[4], _INDENT[5], _INDENT[6]
-        head, later = "[" + entry + "[" + edge + "[" + field, "," + entry + "[" + edge + "[" + field
-        sep, middle = "," + field, edge + "]," + edge + "[" + field
-        tail = edge + "]" + entry + "]"
-        for source in sources:
-            out.append(head + sep.join(map(get, source)) + middle)
-            out.append(sep.join(map(get, w.edge_map[source])) + tail)
-            head = later
-        out.append(_INDENT[3] + "]")
+    image_of = w.edge_map.__getitem__
+    edge, field = _INDENT[5], _INDENT[6]
+    sep = "," + field
+    opening, middle = "[" + edge + "[" + field, edge + "]," + edge + "[" + field
+    close = edge + "]" + _INDENT[4] + "]"
+    pairs = (
+        opening + sep.join(map(_quote, e)) + middle + sep.join(map(_quote, image_of(e))) + close
+        for e in sorted(w.edge_map)
+    )
+    yield from _put_array(out, pairs, 3)
     out.append(_INDENT[2] + "}")
 
 
@@ -339,10 +337,14 @@ def parse_witnesses(text: str) -> list:
     return [_witness_from_doc(doc, f"$.witnesses[{i}]") for i, doc in enumerate(docs)]
 
 
+def _witness_chunks(witnesses):
+    """The witness-set document of one heap run, in chunks of at most _CHUNK rows."""
+    return _document("witnesses", witnesses, _put_witness)
+
+
 def serialize_witnesses(witnesses) -> str:
     """Serialize the per-component witnesses of one heap run."""
-    quote = _Quoted()
-    return _document("witnesses", witnesses, lambda out, w: _put_witness(out, w, quote))
+    return "".join(_witness_chunks(witnesses))
 
 
 _DOT_SAFE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")  # used with fullmatch

@@ -41,7 +41,8 @@ class Edge(tuple):
     Edges of all kinds therefore compare, hash and sort as plain tuples,
     and ``sorted()`` of an edge set is its canonical order.  Each kind
     names its fields, lists its node endpoints as ``ends`` and maps itself
-    by ``image(node_map)``, the edge a node map forces it onto.  ``str``
+    by ``image(node_map)``, the edge a node map forces it onto (the edge
+    itself when its node endpoints map to themselves).  ``str``
     gives the ``(a,b[,l])`` form used in messages.
     """
 
@@ -66,7 +67,8 @@ class VarEdge(Edge):
         return tuple.__new__(cls, ("var", var, target))
 
     def image(self, node_map: dict) -> VarEdge:
-        return VarEdge(self[1], node_map[self[2]])
+        target = node_map[self[2]]
+        return self if target == self[2] else VarEdge(self[1], target)
 
 
 class NodeEdge(Edge):
@@ -81,7 +83,8 @@ class NodeEdge(Edge):
         return tuple.__new__(cls, ("node", src, dst))
 
     def image(self, node_map: dict) -> NodeEdge:
-        return NodeEdge(node_map[self[1]], node_map[self[2]])
+        src, dst = node_map[self[1]], node_map[self[2]]
+        return self if src == self[1] and dst == self[2] else NodeEdge(src, dst)
 
 
 class TreeEdge(Edge):
@@ -99,7 +102,8 @@ class TreeEdge(Edge):
         return tuple.__new__(cls, ("tree", src, dst, label))
 
     def image(self, node_map: dict) -> TreeEdge:
-        return TreeEdge(node_map[self[1]], node_map[self[2]], self[3])
+        src, dst = node_map[self[1]], node_map[self[2]]
+        return self if src == self[1] and dst == self[2] else TreeEdge(src, dst, self[3])
 
 
 def _tokens_ok(ids) -> bool:

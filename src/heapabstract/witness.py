@@ -11,6 +11,7 @@ produced it is required.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, DomainMismatchError
@@ -21,12 +22,36 @@ from .model import Component, ComponentIndex, Edge, TreeEdge, VarEdge, Violation
 class Witness:
     """Node map and edge map certifying one valid abstraction.
 
-    Treat instances as immutable; the maps are plain dicts only because
-    that is the lightest faithful representation.
+    Treat instances as immutable.  A witness read from a document holds
+    two dicts; one the library produced holds an :class:`EdgeImages` view.
     """
 
     node_map: dict
-    edge_map: dict
+    edge_map: Mapping
+
+
+class EdgeImages(Mapping):
+    """Read-only edge map that a node map forces: ``[e]`` is ``e.image(node_map)``.
+
+    Its keys are ``edges``, so it stores no entry per edge; like any
+    mapping it compares equal to the dict with the same items.
+    """
+
+    __slots__ = ("edges", "node_map")
+
+    def __init__(self, edges: frozenset, node_map: dict):
+        self.edges, self.node_map = edges, node_map
+
+    def __getitem__(self, e: Edge) -> Edge:
+        if e not in self.edges:
+            raise KeyError(e)
+        return e.image(self.node_map)
+
+    def __iter__(self):
+        return iter(self.edges)
+
+    def __len__(self) -> int:
+        return len(self.edges)
 
 
 def check_valid_abstraction(source: Component, target: Component, w: Witness) -> list:
@@ -79,21 +104,29 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     def finding(e: Edge, code: str, detail: str):
         findings.append((e, Violation(code, detail)))
 
+    # A view over this node map and these source edges holds exactly the
+    # forced images, so comparing it with them would be vacuous.
+    view = w.edge_map
+    derived = (
+        isinstance(view, EdgeImages) and view.node_map is w.node_map and view.edges is source.edges
+    )
     covered = set()
     unmapped_edges = 0
     for e in source.edges:
-        if e not in w.edge_map:
-            finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
-            unmapped_edges += 1
-            continue
-        image = w.edge_map[e]
-        covered.add(image)
         try:
             forced = e.image(w.node_map)
         except KeyError:  # an unmapped endpoint, reported as NodeMapNotTotal
-            forced = image
-        if image != forced:
-            finding(e, "EdgeMapIncompatible", f"edge {e} maps to {image}, node map forces {forced}")
+            forced = None
+        image = forced if derived else w.edge_map.get(e)
+        if image is None:
+            if not derived:
+                finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
+                unmapped_edges += 1
+            continue
+        if image is not forced and forced is not None and image != forced:
+            detail = f"edge {e} maps to {image}, node map forces {forced}"
+            finding(e, "EdgeMapIncompatible", detail)
+        covered.add(image)
         if image not in target.edges:
             finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
     if len(w.edge_map) > len(source.edges) - unmapped_edges:  # it maps a non-source edge
@@ -112,7 +145,8 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
 
 def identity_witness(c: Component) -> Witness:
     """The witness by which every component abstracts itself."""
-    return Witness({n: n for n in c.nodes}, {e: e for e in c.edges})
+    node_map = {n: n for n in c.nodes}
+    return Witness(node_map, EdgeImages(c.edges, node_map))
 
 
 def compose(w1: Witness, w2: Witness) -> Witness:
@@ -178,7 +212,7 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
 
     def accept():
         node_map = dict(assignment)
-        w = Witness(node_map, {e: e.image(node_map) for e in source.edges})
+        w = Witness(node_map, EdgeImages(source.edges, node_map))
         return None if check_valid_abstraction(source, target, w) else w
 
     # Depth-first over source nodes in order, one candidate iterator per

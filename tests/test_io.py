@@ -35,6 +35,17 @@ class TestParseHeap:
     def test_empty_heap(self):
         assert parse_heap('{"components":[]}') == Heap(())
 
+    @pytest.mark.parametrize(
+        "name", ["fig1_sll.json", "fig2_tree.json", "fig3_cycle.json", "fig4_dag.json"]
+    )
+    def test_each_id_is_one_string_object(self, name):
+        # Every edge endpoint is the very object the component holds for
+        # that id, however many rows name it.
+        for c in parse_heap(load_fixture_text(name)).components:
+            held = {ident: ident for ident in (*c.nodes, *c.vars)}
+            for e in c.edges:
+                assert all(ident is held[ident] for ident in e[1:3])
+
     def test_labeled_edge_in_sll_rejected(self):
         text = load_fixture_text("broken_sll_labeled_edge.json")
         with pytest.raises(SchemaError) as exc:

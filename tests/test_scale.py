@@ -2,15 +2,28 @@
 
 Each heap has one variable on its head or root, so the closed-form output
 size follows from the layout alone.  These check that large inputs finish
-and abstract correctly; they set no time bound.
+and abstract correctly; they set no time bound.  The writers are checked
+to hold a bounded part of a large document at a time.
 """
 
 import json
+import tracemalloc
 
 import pytest
 
-from heapabstract import Component, Heap, Layout, NodeEdge, TreeEdge, VarEdge, serialize_heap
+from heapabstract import (
+    Component,
+    Heap,
+    Layout,
+    NodeEdge,
+    TreeEdge,
+    VarEdge,
+    abstract_component,
+    serialize_heap,
+    serialize_witnesses,
+)
 from heapabstract.cli import run
+from heapabstract.formats import _heap_chunks, _witness_chunks
 
 DAG_WIDTH = 8
 
@@ -63,3 +76,27 @@ def test_large_component_abstracts(build, expected, tmp_path):
     assert run(["abstract", str(heap_path), "--out", str(out), "--witness", str(wit)]) == 0
     (component,) = json.loads(out.read_text(encoding="utf-8"))["components"]
     assert len(component["nodes"]) == expected
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        lambda dag: (_heap_chunks, serialize_heap, Heap((dag,))),
+        lambda dag: (_witness_chunks, serialize_witnesses, [abstract_component(dag).witness]),
+    ],
+    ids=["heap", "witnesses"],
+)
+def test_writing_is_bounded(document, tmp_path):
+    chunks, serialize, value = document(_layered_dag(10_000))
+    text = serialize(value)
+    assert "".join(chunks(value)) == text
+    path = tmp_path / "doc.json"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        tracemalloc.start()
+        try:
+            handle.writelines(chunks(value))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < len(text) / 4
+    assert path.read_text(encoding="utf-8") == text

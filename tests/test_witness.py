@@ -22,6 +22,7 @@ from heapabstract import (
     serialize_heap,
 )
 from heapabstract.cli import run
+from heapabstract.witness import EdgeImages
 
 
 def codes(violations):
@@ -171,6 +172,60 @@ class TestCheckValidAbstraction:
         result = abstract_component(source)
         assert ne("b", "b") in result.output.edges
         assert check_valid_abstraction(source, result.output, result.witness) == []
+
+
+class TestProducedEdgeMap:
+    """A produced witness's edge map is a view over its node map, which the
+    checker still judges as the map it is, not as the one it should be."""
+
+    def test_view_equals_its_dict(self, fig1, fig2, fig3, fig4):
+        for c in (fig1, fig2, fig3, fig4):
+            w = abstract_component(c).witness
+            assert type(w.edge_map) is EdgeImages
+            as_dict = dict(w.edge_map)
+            assert w.edge_map == as_dict and as_dict == w.edge_map
+            assert as_dict == {e: e.image(w.node_map) for e in c.edges}
+
+    def test_identity_witness_is_a_view(self, fig1):
+        w = identity_witness(fig1)
+        assert type(w.edge_map) is EdgeImages
+        assert w.edge_map == {e: e for e in fig1.edges}
+
+    def test_view_under_a_tampered_node_map_is_incompatible(self, fig1):
+        # h6 is special and kept; sending it to h7 instead changes the
+        # forced image of each edge at h6, which the view does not follow.
+        result = abstract_component(fig1)
+        node_map = {**result.witness.node_map, "h6": "h7"}
+        tampered = Witness(node_map, result.witness.edge_map)
+        found = check_valid_abstraction(fig1, result.output, tampered)
+        assert "EdgeMapIncompatible" in codes(found)
+
+    def test_view_checked_against_another_source(self, fig1):
+        # The same nodes with one edge swapped: the view has no entry for
+        # the new edge and one for an edge the source lacks.
+        result = abstract_component(fig1)
+        edges = fig1.edges - {ne("h7", "h6")} | {ne("h7", "h5")}
+        other = Component(fig1.layout, fig1.vars, fig1.nodes, edges)
+        found = codes(check_valid_abstraction(other, result.output, result.witness))
+        assert "EdgeMapNotTotal" in found and "EdgeMapDomainUnknown" in found
+
+    def test_equal_source_of_another_identity_is_checked_in_full(self, fig1):
+        result = abstract_component(fig1)
+        copy = Component(fig1.layout, fig1.vars, fig1.nodes, set(fig1.edges))
+        assert copy.edges is not fig1.edges
+        assert check_valid_abstraction(copy, result.output, result.witness) == []
+
+    def test_compose_of_views_equals_dict_composition(self):
+        rng = random.Random(53)
+        for layout in Layout:
+            for _ in range(10):
+                c = random_component(rng, layout, max_nodes=12)
+                first = abstract_component(c)
+                second = abstract_component(first.output)
+                chained = compose(first.witness, second.witness)
+                second_map = second.witness.edge_map
+                expected = {e: second_map[f] for e, f in first.witness.edge_map.items()}
+                assert chained.edge_map == expected and expected == chained.edge_map
 
 
 class TestCompose:
