@@ -19,15 +19,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .classify import ordinary_nodes, similarity_groups
+from .classify import node_classes, similarity_groups
 from .errors import InternalInvariantError, InvalidComponentError
 from .model import (
+    LEFT,
+    RIGHT,
+    UNLABELED,
     Component,
     ComponentIndex,
     Heap,
     Layout,
     NodeEdge,
     TreeEdge,
+    VarEdge,
     validate_component,
 )
 from .witness import EdgeImages, Witness
@@ -50,23 +54,24 @@ class AbstractionResult:
     merge_log: tuple
 
 
-def _merge_chain(index: ComponentIndex, ordinary: set) -> tuple:
+def _merge_chain(index: ComponentIndex, ordinary: list) -> tuple:
     """List and cycle merges: contract the smallest live ordinary pair.
 
     Repeatedly contracts the lexicographically smallest edge between two
     ordinary nodes: the source survives and takes over the edges of the
     node it absorbs.  Only edges between ordinary nodes can ever form a
     pair, so only those are tracked; a heap holds every pair created so
-    far, and pairs whose endpoints have since merged are skipped.
+    far, as the int ``a * size + b`` over ranks, and pairs whose endpoints
+    have since merged are skipped.
     """
-    succ = {n: {e.dst for e in index.out[n] if e.dst in ordinary} for n in ordinary}
-    pred = {n: {e.src for e in index.into[n] if e.src in ordinary} for n in ordinary}
-    pairs = [(a, b) for a in ordinary for b in succ[a]]
+    size, members = len(index.ids), set(ordinary)
+    succ = {a: {b for b in index.out[a] if b in members} for a in ordinary}
+    pred = {b: {a for a in index.into[b] if a in members} for b in ordinary}
+    pairs = [a * size + b for a in ordinary for b in succ[a]]
     heapq.heapify(pairs)
     parent: dict = {}
-    log = []
     while pairs:
-        a, b = heapq.heappop(pairs)
+        a, b = divmod(heapq.heappop(pairs), size)
         if a in parent or b in parent or b not in succ[a]:
             continue
         succ[a].discard(b)
@@ -76,18 +81,17 @@ def _merge_chain(index: ComponentIndex, ordinary: set) -> tuple:
             if x != a:
                 succ[a].add(x)
                 pred[x].add(a)
-                heapq.heappush(pairs, (a, x))
+                heapq.heappush(pairs, a * size + x)
         for y in pred.pop(b):
             succ[y].discard(b)
             succ[y].add(a)
             pred[a].add(y)
-            heapq.heappush(pairs, (y, a))
+            heapq.heappush(pairs, y * size + a)
         parent[b] = a
-        log.append(MergeEvent(a, (b,)))
-    return parent, log, max(len(ordinary) - 1, 0)
+    return parent, [(a, (b,)) for b, a in parent.items()], max(len(ordinary) - 1, 0)
 
 
-def _merge_tree(index: ComponentIndex, ordinary: set) -> tuple:
+def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
     """Tree merges: fold collapsed child pairs into their parents, bottom-up.
 
     Levels are processed bottom-up (depths are frozen at entry); the root
@@ -107,21 +111,21 @@ def _merge_tree(index: ComponentIndex, ordinary: set) -> tuple:
     depths = index.depths
     if not depths:
         return parent, log, 0
+    members = set(ordinary)
     by_level: dict = {}
-    for n in ordinary:
-        by_level.setdefault(depths[n], []).append(n)
+    for r in ordinary:
+        by_level.setdefault(depths[r], []).append(r)
 
-    def detachable(n: str, trio: tuple) -> bool:
-        return all(
-            e.src in trio and e.dst in trio or e.src in parent or e.dst in parent
-            for e in (*index.out[n], *index.into[n])
-        )
+    def detachable(n: int, trio: tuple) -> bool:
+        # n's own edges all touch n, which is in the trio and not merged.
+        return all(x in trio or x in parent for x in (*index.out[n], *index.into[n]))
 
-    for level in range(max(depths.values()) - 1, 0, -1):
+    for level in range(max(depths) - 1, 0, -1):
         triples = []
         for a in by_level.get(level, ()):
-            left = [e.dst for e in index.out[a] if e.label == "l" and e.dst in ordinary]
-            right = [e.dst for e in index.out[a] if e.label == "r" and e.dst in ordinary]
+            children = list(zip(index.out[a], index.tags[a]))
+            left = [b for b, tag in children if tag == LEFT and b in members]
+            right = [b for b, tag in children if tag == RIGHT and b in members]
             for b in left:
                 for c2 in right:
                     trio = (a, b, c2)
@@ -130,11 +134,11 @@ def _merge_tree(index: ComponentIndex, ordinary: set) -> tuple:
         for a, b, c2 in sorted(triples):
             if b not in parent and c2 not in parent:
                 parent[b] = parent[c2] = a
-                log.append(MergeEvent(a, (b, c2)))
+                log.append((a, (b, c2)))
     return parent, log, len(ordinary) // 2 * 2
 
 
-def _merge_dag(index: ComponentIndex, ordinary: set) -> tuple:
+def _merge_dag(index: ComponentIndex, ordinary: list) -> tuple:
     """DAG merges: each reference-similar group collapses onto its smallest member.
 
     The kept member gains a self edge.  Because group members share
@@ -148,12 +152,13 @@ def _merge_dag(index: ComponentIndex, ordinary: set) -> tuple:
         if rest:
             for r in rest:
                 parent[r] = keeper
-            log.append(MergeEvent(keeper, tuple(rest)))
+            log.append((keeper, tuple(rest)))
     return parent, log, len(ordinary) - len(groups)
 
 
-# Each returns the parent map (survivor per removed node), the merge log
-# and the bound on the number of removed nodes.
+# Each takes the index and the ordinary ranks in ascending order, and
+# returns the parent map (survivor rank per removed rank), the merge log
+# as (survivor, removed) ranks and the bound on the number of removed nodes.
 _MERGES = {
     Layout.SLL: _merge_chain,
     Layout.T: _merge_tree,
@@ -162,30 +167,55 @@ _MERGES = {
 }
 
 
-def _survivors(nodes, parent: dict) -> dict:
-    """Node map sending every node to the survivor at the end of its parent chain."""
-    node_map: dict = {}
-    for n in nodes:
+def _survivors(size: int, parent: dict) -> list:
+    """The survivor rank of every rank: the end of its parent chain."""
+    survivor = list(range(size))
+    for r in parent:
+        survivor[r] = -1
+    for r in parent:
         chain = []
-        while n not in node_map and n in parent:
-            chain.append(n)
-            n = parent[n]
-        survivor = node_map.get(n, n)
-        for m in (*chain, n):
-            node_map[m] = survivor
-    return node_map
+        while survivor[r] < 0:
+            chain.append(r)
+            r = parent[r]
+        for m in chain:
+            survivor[m] = survivor[r]
+    return survivor
 
 
-def _quotient(c: Component, parent: dict, log: list) -> AbstractionResult:
-    node_map = _survivors(c.nodes, parent)
-    edges = {e.image(node_map) for e in c.edges}
-    for s in {node_map[n] for n in parent}:
-        if c.layout is Layout.T:
-            edges.update((TreeEdge(s, s, "l"), TreeEdge(s, s, "r")))
-        else:
-            edges.add(NodeEdge(s, s))
-    output = Component(c.layout, c.vars, frozenset(node_map.values()), frozenset(edges))
-    return AbstractionResult(output, Witness(node_map, EdgeImages(c.edges, node_map)), tuple(log))
+def _image_edges(index: ComponentIndex, survivor: list, parent: dict) -> frozenset:
+    """The output edges: every input edge's image, and self edges on merged survivors."""
+    ids = index.ids
+    # Images as (src, dst, tag) over survivor ranks, each kept once.
+    images = {
+        (survivor[src], survivor[dst], tag)
+        for src, (succ, tags) in enumerate(zip(index.out, index.tags))
+        for dst, tag in zip(succ, tags)
+    }
+    loops = [(survivor[r], tag) for r, tags in enumerate(index.loops) for tag in tags]
+    loop_tags = (LEFT, RIGHT) if index.component.layout is Layout.T else (UNLABELED,)
+    loops += [(s, tag) for s in {survivor[r] for r in parent} for tag in loop_tags]
+    images.update((s, s, tag) for s, tag in loops)
+    edges = [
+        NodeEdge(ids[a], ids[b]) if tag == UNLABELED else TreeEdge(ids[a], ids[b], "lr"[tag - LEFT])
+        for a, b, tag in images
+    ]
+    # Variables point at special nodes, which no merge removes.
+    edges.extend(VarEdge(v, ids[r]) for r, variables in enumerate(index.pointed) for v in variables)
+    return frozenset(edges)
+
+
+def _quotient(index: ComponentIndex, parent: dict, log: list) -> AbstractionResult:
+    c, ids = index.component, index.ids
+    events = tuple(MergeEvent(ids[a], tuple(map(ids.__getitem__, removed))) for a, removed in log)
+    if parent:
+        survivor = _survivors(len(ids), parent)
+        node_map = dict(zip(ids, map(ids.__getitem__, survivor)))
+        nodes = frozenset(node_map.values())
+        output = Component(c.layout, c.vars, nodes, _image_edges(index, survivor, parent))
+    else:  # nothing merged: the output is the input
+        node_map = dict(zip(ids, ids))
+        output = Component(c.layout, c.vars, c.nodes, c.edges)
+    return AbstractionResult(output, Witness(node_map, EdgeImages(c.edges, node_map)), events)
 
 
 def abstract_component(c: Component) -> AbstractionResult:
@@ -199,10 +229,12 @@ def abstract_component(c: Component) -> AbstractionResult:
     violations = validate_component(c, index)
     if violations:
         raise InvalidComponentError(violations)
-    parent, log, budget = _MERGES[c.layout](index, ordinary_nodes(c, index))
+    # node_classes lists the nodes in id order, so its classes are by rank.
+    ordinary = [r for r, k in enumerate(node_classes(c, index).values()) if not k.special]
+    parent, log, budget = _MERGES[c.layout](index, ordinary)
     if len(parent) > budget:
         raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
-    return _quotient(c, parent, log)
+    return _quotient(index, parent, log)
 
 
 def heap_abstract_results(h: Heap) -> list:

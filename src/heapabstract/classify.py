@@ -8,18 +8,16 @@ merged.  Which clauses apply depends on the component layout.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .errors import SameNodeError, UnknownNodeError
 from .model import (
+    UNLABELED,
     Component,
     ComponentIndex,
     Layout,
-    NodeEdge,
-    TreeEdge,
     _require_layout,
 )
 
@@ -58,33 +56,39 @@ class SimilarityPartition:
             seen |= g
 
 
-def _mark_depth_anomalies(index: ComponentIndex, marked: dict):
+# Bit i of a node's reason mask stands for the i-th Reason.
+_REASONS = tuple(Reason)
+_VAR_POINTED, _BACK, _HORIZONTAL, _MULTI_IN, _MULTI_OUT = (1 << i for i in range(len(_REASONS)))
+
+
+def _mark_depth_anomalies(index: ComponentIndex, masks: list):
     # Lists and trees: both endpoints of an edge of the layout's kind that
     # goes up to a shallower node (back edge) or, in trees, stays level.
-    depths = index.depth_map()
+    depths = index.all_depths()
     tree = index.component.layout is Layout.T
-    kind = TreeEdge if tree else NodeEdge
-    for edges in index.out.values():
-        for e in edges:
-            if not isinstance(e, kind):
+    for src, (succ, tags) in enumerate(zip(index.out, index.tags)):
+        above = depths[src]
+        for dst, tag in zip(succ, tags):
+            if (tag != UNLABELED) is not tree:
                 continue
-            if depths[e.src] > depths[e.dst]:
-                reason = Reason.BACK_EDGE_ENDPOINT
-            elif tree and depths[e.src] == depths[e.dst]:
-                reason = Reason.HORIZONTAL_EDGE_ENDPOINT
+            if above > depths[dst]:
+                bit = _BACK
+            elif tree and above == depths[dst]:
+                bit = _HORIZONTAL
             else:
                 continue
-            marked[reason].update(e.ends)
+            masks[src] |= bit
+            masks[dst] |= bit
 
 
-def _mark_branch_points(index: ComponentIndex, marked: dict):
+def _mark_branch_points(index: ComponentIndex, masks: list):
     # Cycles: nodes with more than one entering or leaving edge; self
     # edges count as neither.
-    for n in index.component.nodes:
-        if len(index.into[n]) > 1:
-            marked[Reason.MULTI_IN].add(n)
-        if len(index.out[n]) > 1:
-            marked[Reason.MULTI_OUT].add(n)
+    for r, (succ, pred) in enumerate(zip(index.out, index.into)):
+        if len(pred) > 1:
+            masks[r] |= _MULTI_IN
+        if len(succ) > 1:
+            masks[r] |= _MULTI_OUT
 
 
 # DAGs have no layout rule: only their variable targets are special.
@@ -104,20 +108,20 @@ def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
     distinct nodes that does not descend (back or horizontal edge);
     cycles their branch points, nodes with more than one entering or
     leaving edge, self edges counting as neither.  DAGs have no further
-    special nodes.  ``index`` is the component's :class:`ComponentIndex`
-    when the caller has already built it.
+    special nodes.  The nodes appear in ascending id order, and nodes with
+    the same reasons share one :class:`NodeClass`.  ``index`` is the
+    component's :class:`ComponentIndex` when the caller has already built it.
     """
     index = index or ComponentIndex(c)
-    marked = defaultdict(set)  # the nodes each reason applies to
-    marked[Reason.VAR_POINTED].update(n for n, variables in index.pointed.items() if variables)
+    masks = [_VAR_POINTED if variables else 0 for variables in index.pointed]
     rule = _LAYOUT_RULES.get(c.layout)
     if rule:
-        rule(index, marked)
-    reasons: dict = {}
-    for r in Reason:
-        for n in marked[r]:
-            reasons[n] = (*reasons.get(n, ()), r)
-    return {n: NodeClass(reasons.get(n, ())) for n in c.nodes}
+        rule(index, masks)
+    classes = {
+        mask: NodeClass(tuple(r for i, r in enumerate(_REASONS) if mask >> i & 1))
+        for mask in set(masks)
+    }
+    return dict(zip(index.ids, map(classes.__getitem__, masks)))
 
 
 def ordinary_nodes(c: Component, index: ComponentIndex | None = None) -> frozenset:
@@ -125,13 +129,11 @@ def ordinary_nodes(c: Component, index: ComponentIndex | None = None) -> frozens
     return frozenset(n for n, k in node_classes(c, index).items() if not k.special)
 
 
-def _neighbourhood(index: ComponentIndex, n: str) -> tuple:
-    # Predecessor and successor sets over node edges, a self edge making
-    # the node its own neighbour.
-    loop = {n} if index.loops[n] else set()
-    preds = frozenset(e.src for e in index.into[n]).union(loop)
-    succs = frozenset(e.dst for e in index.out[n]).union(loop)
-    return preds, succs
+def _neighbourhood(index: ComponentIndex, r: int) -> tuple:
+    # Predecessor and successor rank sets over node edges, a self edge
+    # making the node its own neighbour.
+    loop = (r,) if index.loops[r] else ()
+    return frozenset((*index.into[r], *loop)), frozenset((*index.out[r], *loop))
 
 
 def reference_similar(c: Component, a: str, b: str) -> bool:
@@ -157,22 +159,24 @@ def reference_similar_set(c: Component, region: Iterable) -> bool:
     if len(members) < 2:
         return True
     index = ComponentIndex(c)
-    keys = {_neighbourhood(index, n) for n in members}
+    ranks = {index.rank[n] for n in members}
+    keys = {_neighbourhood(index, r) for r in ranks}
     # One shared neighbourhood that holds no member: no edge joins two members.
-    return len(keys) == 1 and members.isdisjoint(frozenset().union(*keys.pop()))
+    return len(keys) == 1 and ranks.isdisjoint(frozenset().union(*keys.pop()))
 
 
 def similarity_groups(index: ComponentIndex, ordinary) -> list:
-    """Group ordinary DAG nodes by their (predecessors, successors) pair.
+    """Group the ordinary ranks of a DAG by their (predecessors, successors) pair.
 
-    Each group is sorted and the groups are ordered by smallest member.
-    In a valid DAG two nodes with equal neighbourhoods are never joined
-    by an edge (an edge a->b would force b->a, a 2-cycle), so every group
-    is reference similar and no two groups could be joined.
+    ``ordinary`` holds ranks in ascending order, so each group is sorted
+    and the groups are ordered by smallest member.  In a valid DAG two
+    nodes with equal neighbourhoods are never joined by an edge (an edge
+    a->b would force b->a, a 2-cycle), so every group is reference
+    similar and no two groups could be joined.
     """
     groups: dict = {}
-    for n in sorted(ordinary):
-        groups.setdefault(_neighbourhood(index, n), []).append(n)
+    for r in ordinary:
+        groups.setdefault(_neighbourhood(index, r), []).append(r)
     return list(groups.values())
 
 
@@ -183,4 +187,7 @@ def ref_similar_dag(c: Component) -> SimilarityPartition:
     """
     _require_layout(c, Layout.DAG, "similarity partitioning")
     index = ComponentIndex(c)
-    return SimilarityPartition(tuple(similarity_groups(index, ordinary_nodes(c, index))))
+    classes = node_classes(c, index).values()
+    ordinary = [r for r, k in enumerate(classes) if not k.special]
+    groups = similarity_groups(index, ordinary)
+    return SimilarityPartition(tuple([index.ids[r] for r in g] for g in groups))

@@ -90,6 +90,21 @@ def _emit_all(outputs):
             handle.writelines(chunks)
 
 
+def _same_file(path: str, other) -> bool:
+    """Whether ``path`` names the file ``other`` does: a path, or None for stdout.
+
+    One file is one real path or one (device, inode) pair.
+    """
+    if other is not None and os.path.realpath(path) == os.path.realpath(other):
+        return True
+    try:
+        st = os.stat(path)
+        other_st = os.fstat(sys.stdout.fileno()) if other is None else os.stat(other)
+    except (OSError, ValueError):  # a missing file; stdout without a descriptor
+        return False
+    return os.path.samestat(st, other_st)
+
+
 def _load_heap(path: str) -> Heap:
     return parse_heap(_read(path))
 
@@ -100,6 +115,10 @@ def _print_validation(findings, stream):
 
 
 def _cmd_abstract(args) -> int:
+    if args.witness and _same_file(args.witness, args.out):
+        where = "--out" if args.out else "standard output, where the heap goes"
+        print(f"error: --witness names the same file as {where}", file=sys.stderr)
+        return INPUT_ERROR
     heap = _load_heap(args.heap)
     findings, results = [], []
     for i, comp in enumerate(heap.components):

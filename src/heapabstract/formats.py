@@ -30,7 +30,7 @@ from .model import (
     _tokens_ok,
     first_id_clash,
 )
-from .witness import Witness
+from .witness import EdgeImages, Witness
 
 _HEAP_KEYS = ("layout", "variables", "nodes", "var_edges", "node_edges")
 
@@ -191,8 +191,8 @@ def parse_heap(text: str) -> Heap:
 # the fixed-schema documents below, written directly: json.dumps only uses
 # its C encoder when no indent is given.  Strings are escaped by
 # encode_basestring_ascii, which is what json.dumps applies by default.
-# Writers append pieces, each at most one row, to a list that is joined
-# and handed on as a chunk whenever it holds _CHUNK pieces, so no document
+# Writers append pieces, each at most _CHUNK rows, to a list that is
+# joined and handed on as a chunk after each _CHUNK rows, so no document
 # is held whole.
 _INDENT = ["\n" + "  " * depth for depth in range(8)]
 _CHUNK = 1024
@@ -218,23 +218,35 @@ def _document(key: str, items, put):
 def _put_array(out: list, texts, depth: int, brackets: str = "[]"):
     """Append a JSON array (object, given "{}") of encoded items at ``depth``.
 
-    Each time ``out`` holds _CHUNK pieces, they are yielded as one chunk.
+    Items are joined _CHUNK at a time, and ``out`` is yielded as one chunk
+    after each full batch.
     """
-    opening, later = brackets[0] + _INDENT[depth + 1], "," + _INDENT[depth + 1]
-    for text in texts:
-        out.append(opening + text)
-        opening = later
-        if len(out) >= _CHUNK:
+    opening, sep = brackets[0] + _INDENT[depth + 1], "," + _INDENT[depth + 1]
+    texts = iter(texts)
+    while batch := list(islice(texts, _CHUNK)):
+        out.append(opening + sep.join(batch))
+        opening = sep
+        if len(batch) == _CHUNK:
             yield "".join(out)
             out.clear()
-    out.append(_INDENT[depth] + brackets[1] if opening is later else brackets)
+    out.append(_INDENT[depth] + brackets[1] if opening is sep else brackets)
+
+
+def _canonical_order(edges) -> list:
+    """``edges`` in canonical order: kind tag, then first id, second id and label.
+
+    Edges are tuples whose fields are in exactly that order, so this is
+    their sorted order.  Both writers and the DOT export take their edge
+    order from here.
+    """
+    return sorted(edges)
 
 
 def _put_component(out: list, c: Component):
     # A component is an item of the components array, at depth 2.  An
     # edge's heap-document row is the edge without its kind tag.  Kind
     # tags sort "node" < "tree" < "var", so variable edges sort last.
-    edges = sorted(c.edges)
+    edges = _canonical_order(c.edges)
     first_var = bisect_left(edges, ("var",))
     opening, sep, close = "[" + _INDENT[5], "," + _INDENT[5], _INDENT[4] + "]"
 
@@ -309,23 +321,42 @@ def _witness_from_doc(doc, path: str) -> Witness:
 
 def _put_witness(out: list, w: Witness):
     # A witness is an item of the witnesses array, at depth 2.
-    node_map = w.node_map
+    node_map, edge_map = w.node_map, w.edge_map
+    keys = sorted(node_map)
+    quoted = {k: _quote(k) for k in keys}
+    images = {k: quoted.get(image) or _quote(image) for k, image in node_map.items()}
     out.append("{" + _INDENT[3] + '"node_map": ')
-    entries = (_quote(k) + ": " + _quote(node_map[k]) for k in sorted(node_map))
-    yield from _put_array(out, entries, 3, "{}")
+    yield from _put_array(out, (quoted[k] + ": " + images[k] for k in keys), 3, "{}")
     out.append("," + _INDENT[3] + '"edge_map": ')
     # Each entry is a [source edge, image edge] pair; an edge is its own
     # array, and source edges are distinct, so the entries sort by source edge.
-    image_of = w.edge_map.__getitem__
     edge, field = _INDENT[5], _INDENT[6]
     sep = "," + field
     opening, middle = "[" + edge + "[" + field, edge + "]," + edge + "[" + field
     close = edge + "]" + _INDENT[4] + "]"
-    pairs = (
-        opening + sep.join(map(_quote, e)) + middle + sep.join(map(_quote, image_of(e))) + close
-        for e in sorted(w.edge_map)
-    )
-    yield from _put_array(out, pairs, 3)
+    heads = {kind: _quote(kind) + sep for kind in ("node", "tree", "var")}
+    labels = {"l": sep + '"l"', "r": sep + '"r"'}
+
+    def pairs():
+        for e in _canonical_order(edge_map):
+            source, image = sep.join(map(_quote, e)), sep.join(map(_quote, edge_map[e]))
+            yield opening + source + middle + image + close
+
+    def forced_pairs():
+        # A produced witness: each image is the edge between its ends' images.
+        for e in _canonical_order(edge_map):
+            kind, a, b = e[0], e[1], e[2]
+            head, tail = heads[kind], labels[e[3]] if kind == "tree" else ""
+            if kind == "var":
+                head += _quote(a) + sep
+                source, image = head + quoted[b], head + images[b]
+            else:
+                source = head + quoted[a] + sep + quoted[b]
+                image = head + images[a] + sep + images[b]
+            yield opening + source + tail + middle + image + tail + close
+
+    derived = type(edge_map) is EdgeImages and edge_map.node_map is node_map
+    yield from _put_array(out, forced_pairs() if derived else pairs(), 3)
     out.append(_INDENT[2] + "}")
 
 
@@ -371,7 +402,7 @@ def export_dot(h: Heap, name: str = "heap") -> str:
             lines.append(f"    {_dot_id(v)} [shape=circle];")
         for n in sorted(comp.nodes):
             lines.append(f"    {_dot_id(n)} [shape=oval];")
-        for e in sorted(comp.edges):
+        for e in _canonical_order(comp.edges):
             label = f' [label="{e[3]}"]' if len(e) == 4 else ""
             lines.append(f"    {_dot_id(e[1])} -> {_dot_id(e[2])}{label};")
         lines.append("  }")

@@ -10,7 +10,6 @@ stand for merged regions); concreteness is a usage convention.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -216,91 +215,111 @@ def edges_out(c: Component, r: Iterable) -> frozenset:
     return _region_scan(c, r, (True, False))
 
 
+# Per-edge tags of pointer edges: an unlabeled edge, or a tree edge's label.
+UNLABELED, LEFT, RIGHT = 0, 1, 2
+_LABEL_TAGS = {"l": LEFT, "r": RIGHT}
+
+
 class ComponentIndex:
-    """Adjacency of one component, built in one pass over its edges.
+    """Adjacency of one component over node ranks, built in one pass over its edges.
 
     Validation, classification and abstraction all read the same index,
     so a component is scanned once however many of them run.  It is not
     cached on the component: build it for one component and drop it when
     that component is done.
 
-    Pointer edges are split into ``out``/``into`` lists (non-self edges by
-    source and by target, so ``len`` gives the non-self degrees) and
-    ``loops`` (self edges).  ``pointed`` lists the variables pointing at
-    each node.  Edges with an undeclared endpoint stay out of the
-    adjacency and are kept in ``undeclared``; edges whose kind does not
-    suit the layout are kept in ``mismatched``.  ``depths`` holds the BFS
-    depth of every node reachable from the entries, for list and tree
-    layouts only.
+    ``ids`` lists the node ids in sorted order and ``rank`` maps each id
+    to its position there, so rank order is id order and every tie-break
+    compares ints.  All other fields are lists indexed by rank.  Pointer
+    edges between distinct nodes are kept once by source and once by
+    target: ``out[r]`` holds the ranks of r's successors and ``tags[r]``,
+    in parallel, each edge's tag (``UNLABELED``, ``LEFT`` or ``RIGHT``);
+    ``into[r]`` holds the ranks of r's predecessors, so ``len`` gives the
+    non-self degrees.  ``loops[r]`` holds the tags of r's self edges and
+    ``pointed[r]`` the variables pointing at r.  Edges with an undeclared
+    endpoint stay out of the adjacency and are kept in ``undeclared``;
+    edges whose kind does not suit the layout are kept in ``mismatched``.
+    ``entries`` lists the entry ranks in order.  ``depths`` holds each
+    node's BFS depth from the entries (-1 when unreachable), for list and
+    tree layouts only.
     """
 
     def __init__(self, c: Component):
         self.component = c
-        nodes = c.nodes
-        self.out = {n: [] for n in nodes}
-        self.into = {n: [] for n in nodes}
-        self.loops = {n: [] for n in nodes}
-        self.pointed = {n: [] for n in nodes}
+        self.ids = ids = sorted(c.nodes)
+        self.rank = rank = {n: r for r, n in enumerate(ids)}
+        size = len(ids)
+        self.out = out = [[] for _ in range(size)]
+        self.tags = tags = [[] for _ in range(size)]
+        self.into = into = [[] for _ in range(size)]
+        self.loops = loops = [()] * size
+        self.pointed = pointed = [()] * size
         self.undeclared = []
         self.mismatched = []
-        is_tree = c.layout is Layout.T
+        tree = c.layout is Layout.T
         for e in c.edges:
-            if isinstance(e, VarEdge):
-                if e.target in nodes:
-                    self.pointed[e.target].append(e.var)
-                if e.var not in c.vars or e.target not in nodes:
+            kind = type(e)
+            if kind is VarEdge:
+                target = rank.get(e[2])
+                if target is not None:
+                    pointed[target] += (e[1],)
+                if target is None or e[1] not in c.vars:
                     self.undeclared.append(e)
                 continue
-            if isinstance(e, TreeEdge) is not is_tree:
+            if (kind is TreeEdge) is not tree:
                 self.mismatched.append(e)
-            if e.src not in nodes or e.dst not in nodes:
+            try:
+                src, dst = rank[e[1]], rank[e[2]]
+            except KeyError:
                 self.undeclared.append(e)
-            elif e.src == e.dst:
-                self.loops[e.src].append(e)
+                continue
+            tag = _LABEL_TAGS[e[3]] if kind is TreeEdge else UNLABELED
+            if src == dst:
+                loops[src] += (tag,)
             else:
-                self.out[e.src].append(e)
-                self.into[e.dst].append(e)
+                out[src].append(dst)
+                tags[src].append(tag)
+                into[dst].append(src)
         # A self edge marks a collapsed region and never costs a node its
         # entry status; with no in-degree-0 node, variable targets serve.
-        self.entries = frozenset(n for n in nodes if not self.into[n]) or frozenset(
-            n for n in nodes if self.pointed[n]
-        )
+        self.entries = [r for r in range(size) if not into[r]] or [
+            r for r in range(size) if pointed[r]
+        ]
         self.depths = self._bfs_depths() if c.layout in (Layout.SLL, Layout.T) else None
 
-    def _bfs_depths(self) -> dict:
-        depths = {n: 0 for n in self.entries}
-        queue = deque(sorted(depths))
-        while queue:
-            n = queue.popleft()
-            for e in self.out[n]:
-                if e.dst not in depths:
-                    depths[e.dst] = depths[n] + 1
-                    queue.append(e.dst)
+    def _bfs_depths(self) -> list:
+        depths = [-1] * len(self.ids)
+        for r in self.entries:
+            depths[r] = 0
+        queue = list(self.entries)
+        for r in queue:  # the queue grows while it is read
+            below = depths[r] + 1
+            for s in self.out[r]:
+                if depths[s] < 0:
+                    depths[s] = below
+                    queue.append(s)
         return depths
 
-    def depth_map(self) -> dict:
+    def all_depths(self) -> list:
         """``depths``, raising when some node is unreachable from the entries."""
-        missing = self.component.nodes - self.depths.keys()
+        missing = [n for n, d in zip(self.ids, self.depths) if d < 0]
         if missing:
-            raise UnreachableNodeError(f"nodes unreachable from entries: {sorted(missing)}")
+            raise UnreachableNodeError(f"nodes unreachable from entries: {missing}")
         return self.depths
 
-    def cyclic_nodes(self) -> set:
-        """Nodes that survive repeated removal of nodes with no non-self in-edge.
+    def cyclic_ranks(self) -> list:
+        """Ranks that survive repeated removal of nodes with no non-self in-edge, in order.
 
         Nonempty exactly when the non-self edges contain a directed cycle.
         """
-        indegree = {n: len(es) for n, es in self.into.items()}
-        queue = deque(n for n, k in indegree.items() if k == 0)
-        remaining = set(indegree)
-        while queue:
-            n = queue.popleft()
-            remaining.discard(n)
-            for e in self.out[n]:
-                indegree[e.dst] -= 1
-                if indegree[e.dst] == 0:
-                    queue.append(e.dst)
-        return remaining
+        indegree = list(map(len, self.into))
+        queue = [r for r, k in enumerate(indegree) if not k]
+        for r in queue:  # the queue grows while it is read
+            for s in self.out[r]:
+                indegree[s] -= 1
+                if not indegree[s]:
+                    queue.append(s)
+        return [r for r, k in enumerate(indegree) if k]
 
 
 def _require_layout(c: Component, layout: Layout, what: str):
@@ -319,7 +338,8 @@ def entry_nodes(c: Component) -> frozenset:
     edge marks a collapsed region and never costs a node its entry
     status.
     """
-    return ComponentIndex(c).entries
+    index = ComponentIndex(c)
+    return frozenset(index.ids[r] for r in index.entries)
 
 
 def depth_map(c: Component) -> dict:
@@ -333,7 +353,8 @@ def depth_map(c: Component) -> dict:
         raise LayoutMismatchError(
             f"depth is defined for SLL and T components, not {c.layout.value}"
         )
-    return ComponentIndex(c).depth_map()
+    index = ComponentIndex(c)
+    return dict(zip(index.ids, index.all_depths()))
 
 
 def height(c: Component) -> int:
@@ -378,33 +399,39 @@ def validate_component(c: Component, index: ComponentIndex | None = None) -> lis
     if index.undeclared:
         return violations
 
-    depths = index.depths
+    # Ranks ascend with ids, so each rule below reports in id order.
+    ids, depths = index.ids, index.depths
     if depths is not None:
-        for n in sorted(c.nodes - depths.keys()):
-            flag("UnreachableNode", f"node {n} unreachable from entries")
+        for n, d in zip(ids, depths):
+            if d < 0:
+                flag("UnreachableNode", f"node {n} unreachable from entries")
 
     if c.layout is Layout.SLL:
         # Singly linked: one next pointer per node.  Self edges stand for
         # collapsed regions and do not count.
-        for n in sorted(n for n, es in index.out.items() if len(es) > 1):
-            flag("BranchingList", f"node {n} has {len(index.out[n])} outgoing edges")
+        for n, succ in zip(ids, index.out):
+            if len(succ) > 1:
+                flag("BranchingList", f"node {n} has {len(succ)} outgoing edges")
 
     if c.layout is Layout.DAG:
-        leftover = index.cyclic_nodes()
+        leftover = index.cyclic_ranks()
         if leftover:
-            flag("CycleInDag", f"cycle through nodes {sorted(leftover)}")
+            flag("CycleInDag", f"cycle through nodes {[ids[r] for r in leftover]}")
 
-    if c.layout is Layout.C and not any(index.loops.values()) and not index.cyclic_nodes():
+    if c.layout is Layout.C and not any(index.loops) and not index.cyclic_ranks():
         flag("MissingCycle", "no directed cycle among node edges")
 
     if c.layout is Layout.T:
-        for n in sorted(c.nodes):
-            if n in index.entries or n not in depths:
-                continue
-            if not any(
-                isinstance(e, TreeEdge) and e.src in depths and depths[e.src] < depths[n]
-                for e in index.into[n]
-            ):
+        parented = [False] * len(ids)
+        for src, (succ, tags) in enumerate(zip(index.out, index.tags)):
+            above = depths[src]
+            if above >= 0:
+                for dst, tag in zip(succ, tags):
+                    if tag and above < depths[dst]:
+                        parented[dst] = True
+        # Entries (depth 0) and unreachable nodes need no parent.
+        for n, d, has_parent in zip(ids, depths, parented):
+            if d > 0 and not has_parent:
                 flag("MissingTreeParent", f"node {n} has no labeled edge from a shallower node")
 
     return violations

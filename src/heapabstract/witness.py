@@ -14,8 +14,8 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, DomainMismatchError
-from .model import Component, ComponentIndex, Edge, TreeEdge, VarEdge, Violation
+from .errors import BudgetExceededError, DomainMismatchError, UnknownNodeError
+from .model import Component, ComponentIndex, Edge, VarEdge, Violation
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,11 @@ def compose(w1: Witness, w2: Witness) -> Witness:
     )
 
 
+def _require_declared(index: ComponentIndex):
+    if index.undeclared:
+        raise UnknownNodeError(f"edge {min(index.undeclared)} has an undeclared endpoint")
+
+
 def find_witness_bruteforce(source: Component, target: Component, node_budget: int = 8):
     """Search exhaustively for a witness from ``source`` onto ``target``.
 
@@ -175,12 +180,15 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
     as soon as every forced image exists in the target and the images
     cover all target edges (up to the merged-region self-edge allowance).
     Returns None when no witness exists.  Intended as a small-instance
-    oracle; refuses sources larger than ``node_budget`` nodes.
+    oracle; refuses sources larger than ``node_budget`` nodes.  An edge
+    with an undeclared endpoint raises :class:`UnknownNodeError`.
     """
     if len(source.nodes) > node_budget:
         raise BudgetExceededError(
             f"source has {len(source.nodes)} nodes, budget is {node_budget}"
         )
+    _require_declared(ComponentIndex(source))
+    _require_declared(ComponentIndex(target))
     if source.layout is not target.layout or source.vars != target.vars:
         return None
 
@@ -244,31 +252,30 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
     return None
 
 
-def _label(e: Edge) -> str:
-    return e.label if isinstance(e, TreeEdge) else "n"
-
-
-def _signature(index: ComponentIndex, n: str) -> tuple:
-    # Pointing variables, out/in edge label counts and self edge labels:
+def _signature(index: ComponentIndex, r: int, in_tags: list) -> tuple:
+    # Pointing variables, out/in edge tag counts and self edge tags:
     # isomorphic nodes have equal signatures.
     return (
-        tuple(sorted(index.pointed[n])),
-        tuple(sorted(Counter(map(_label, index.out[n])).items())),
-        tuple(sorted(Counter(map(_label, index.into[n])).items())),
-        tuple(sorted(map(_label, index.loops[n]))),
+        tuple(sorted(index.pointed[r])),
+        tuple(sorted(Counter(index.tags[r]).items())),
+        tuple(sorted(Counter(in_tags[r]).items())),
+        tuple(sorted(index.loops[r])),
     )
 
 
-def _neighbours(index: ComponentIndex, n: str) -> set:
-    return {e.dst for e in index.out[n]} | {e.src for e in index.into[n]}
+def _edge_tables(index: ComponentIndex) -> tuple:
+    # The tags of each rank's in-edges, and the set of tags per (src, dst) pair.
+    in_tags = [[] for _ in index.ids]
+    pair_tags: dict = {}
+    for src, (succ, tags) in enumerate(zip(index.out, index.tags)):
+        for dst, tag in zip(succ, tags):
+            in_tags[dst].append(tag)
+            pair_tags.setdefault((src, dst), set()).add(tag)
+    return in_tags, pair_tags
 
 
-def _pair_labels(index: ComponentIndex) -> dict:
-    labels: dict = {}
-    for edges in index.out.values():
-        for e in edges:
-            labels.setdefault(e.ends, set()).add(_label(e))
-    return labels
+def _neighbours(index: ComponentIndex, r: int) -> set:
+    return {*index.out[r], *index.into[r]}
 
 
 def isomorphic(c1: Component, c2: Component) -> bool:
@@ -280,24 +287,30 @@ def isomorphic(c1: Component, c2: Component) -> bool:
     neighbours a mapped one (its anchor) and its candidates are the
     neighbours of the anchor's image.  A candidate (same signature, so the
     same self edges) is checked against already-mapped neighbours only.
+    An edge with an undeclared endpoint raises :class:`UnknownNodeError`.
     """
+    index1, index2 = ComponentIndex(c1), ComponentIndex(c2)
+    _require_declared(index1)
+    _require_declared(index2)
     if c1.layout is not c2.layout or c1.vars != c2.vars:
         return False
     if len(c1.nodes) != len(c2.nodes) or len(c1.edges) != len(c2.edges):
         return False
 
-    index1, index2 = ComponentIndex(c1), ComponentIndex(c2)
-    sig1 = {n: _signature(index1, n) for n in c1.nodes}
-    sig2 = {m: _signature(index2, m) for m in c2.nodes}
+    # Nodes are handled by rank, so every tie breaks by id.
+    in_tags1, pair_tags1 = _edge_tables(index1)
+    in_tags2, pair_tags2 = _edge_tables(index2)
+    size = len(index1.ids)
+    sig1 = [_signature(index1, r, in_tags1) for r in range(size)]
+    sig2 = [_signature(index2, r, in_tags2) for r in range(size)]
     by_sig: dict = {}
-    for m in sorted(c2.nodes):
+    for m in range(size):
         by_sig.setdefault(sig2[m], []).append(m)
-    if any(sig not in by_sig for sig in sig1.values()):
+    if any(sig not in by_sig for sig in sig1):
         return False
-    labels1, labels2 = _pair_labels(index1), _pair_labels(index2)
 
     order, anchor = [], {}
-    for root in sorted(c1.nodes, key=lambda n: (len(by_sig[sig1[n]]), n)):
+    for root in sorted(range(size), key=lambda r: (len(by_sig[sig1[r]]), r)):
         if root in anchor:
             continue
         anchor[root] = None
@@ -312,20 +325,20 @@ def isomorphic(c1: Component, c2: Component) -> bool:
     mapping: dict = {}
     inverse: dict = {}
 
-    def candidates(n: str) -> list:
+    def candidates(n: int) -> list:
         if anchor[n] is None:
             return by_sig[sig1[n]]
         near = _neighbours(index2, mapping[anchor[n]])
         return sorted(m for m in near if sig2[m] == sig1[n])
 
-    def consistent(n: str, m: str) -> bool:
+    def consistent(n: int, m: int) -> bool:
         if m in inverse:
             return False
         pairs = [(p, mapping[p]) for p in _neighbours(index1, n) if p in mapping]
         pairs += [(inverse[q], q) for q in _neighbours(index2, m) if q in inverse]
         return all(
-            labels1.get((n, p)) == labels2.get((m, q))
-            and labels1.get((p, n)) == labels2.get((q, m))
+            pair_tags1.get((n, p)) == pair_tags2.get((m, q))
+            and pair_tags1.get((p, n)) == pair_tags2.get((q, m))
             for p, q in pairs
         )
 

@@ -200,6 +200,17 @@ class TestOrdinaryNodes:
                 for k in classes.values():
                     assert k.special == bool(k.reasons)
 
+    def test_classes_in_id_order_one_object_per_reasons(self):
+        # One NodeClass per distinct reasons tuple, shared by its nodes.
+        rng = random.Random(11)
+        for layout in Layout:
+            for _ in range(20):
+                c = random_component(rng, layout, max_nodes=30)
+                classes = node_classes(c)
+                assert list(classes) == sorted(c.nodes)
+                objects = {id(k) for k in classes.values()}
+                assert len(objects) == len(set(classes.values())) <= 2 ** len(Reason)
+
 
 class TestReferenceSimilar:
     def test_fig4_fanout_targets(self, fig4):

@@ -140,12 +140,40 @@ class TestAbstract:
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert out.read_text(encoding="utf-8") != "old"
 
-    def test_out_and_witness_naming_one_file(self, tmp_path):
-        # The witness document is written last, so it is what the file holds.
+    def test_out_and_witness_naming_one_file(self, tmp_path, capsys):
+        # One file cannot hold both documents: refused before it is opened.
         same = str(tmp_path / "same.json")
-        assert run(["abstract", FIG1, "--out", same, "--witness", same]) == 0
-        assert "witnesses" in json.loads(Path(same).read_text(encoding="utf-8"))
-        assert [p.name for p in tmp_path.iterdir()] == ["same.json"]
+        assert run(["abstract", FIG1, "--out", same, "--witness", same]) == 2
+        assert "--witness names the same file as --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+    def test_out_and_witness_naming_one_file_by_two_paths(self, link, tmp_path, capsys):
+        real, alias = tmp_path / "real.json", tmp_path / "alias.json"
+        real.write_text("old", encoding="utf-8")
+        link(real, alias)
+        assert run(["abstract", FIG1, "--out", str(real), "--witness", str(alias)]) == 2
+        assert "--witness names the same file as --out" in capsys.readouterr().err
+        assert real.read_text(encoding="utf-8") == "old"
+
+    def test_witness_to_the_file_stdout_writes(self, tmp_path):
+        # ``abstract F --witness /dev/stdout > f.json``: both documents would
+        # go to f.json, and the witness would truncate the heap.
+        src = str(Path(heapabstract.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        target = tmp_path / "f.json"
+        command = [sys.executable, "-m", "heapabstract.cli", "abstract", FIG1]
+        with open(target, "w", encoding="utf-8") as stdout:
+            proc = subprocess.run(
+                [*command, "--witness", "/dev/stdout"],
+                env=env,
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2
+        assert "same file as standard output" in proc.stderr
+        assert target.read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("command", ["abstract", "classify"])

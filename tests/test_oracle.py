@@ -16,7 +16,7 @@ import pytest
 
 import oracle
 from conftest import GOLDEN_DIR, load_component
-from genheaps import GENERATORS, comp, ne, random_component, te, ve
+from genheaps import GENERATORS, comp, ne, random_component, relabel, te, ve
 from heapabstract import (
     Component,
     Heap,
@@ -31,6 +31,17 @@ from heapabstract.cli import run
 from heapabstract.model import ComponentIndex
 
 ACCEPTANCE_SEEDS = {Layout.SLL: 101, Layout.T: 202, Layout.C: 303, Layout.DAG: 404}
+
+# Node ids whose code-point order is neither numeric ("n10" < "n9") nor
+# case-blind ("Z" < "a"), puts a prefix first ("a" < "a0"), and places
+# non-ASCII and non-BMP ids by code point ("\uffee" < "\U00010000",
+# although UTF-16 orders them the other way).
+RANK_ORDER_IDS = (
+    *(f"n{k}" for k in (1, 2, 9, 10, 11, 19, 20, 99, 100, 101)),
+    *("Z", "ZZ", "Za", "a", "a0", "a00", "a1", "aZ", "b", "z"),
+    *("e\u0301", "é", "é0", "ß", "Ω", "\ue000", "\uff21", "\uffee"),
+    *("\U00010000", "\U0001F600", "\U0001F600a", "\U0010FFFD"),
+)
 
 
 def _assert_matches_oracle(c):
@@ -95,8 +106,14 @@ def test_fixtures_and_golden_match_oracle():
 def test_acceptance_corpora_match_oracle():
     for layout, seed in ACCEPTANCE_SEEDS.items():
         rng = random.Random(seed)
+        ids_rng = random.Random(-seed)
         for _ in range(1000):
-            _assert_matches_with_reabstraction(random_component(rng, layout, max_nodes=30))
+            c = random_component(rng, layout, max_nodes=30)
+            _assert_matches_with_reabstraction(c)
+            # The same component under ids given in no particular order, so
+            # that every tie-break and the merge log follow code-point order.
+            ids = ids_rng.sample(RANK_ORDER_IDS, len(c.nodes))
+            _assert_matches_with_reabstraction(relabel(c, dict(zip(sorted(c.nodes), ids))))
 
 
 def test_large_components_match_oracle():

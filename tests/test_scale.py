@@ -1,12 +1,13 @@
 """Large components through the ``abstract`` command, end to end.
 
 Each heap has one variable on its head or root, so the closed-form output
-size follows from the layout alone.  These check that large inputs finish
-and abstract correctly; they set no time bound.  The writers are checked
-to hold a bounded part of a large document at a time.
+size follows from the layout alone.  Components of 10^5 nodes must
+abstract correctly within a wall-time bound.  The writers are checked to
+hold a bounded part of a large document at a time.
 """
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -16,7 +17,6 @@ from heapabstract import (
     Heap,
     Layout,
     NodeEdge,
-    TreeEdge,
     VarEdge,
     abstract_component,
     serialize_heap,
@@ -28,54 +28,65 @@ from heapabstract.formats import _heap_chunks, _witness_chunks
 DAG_WIDTH = 8
 
 
-def _headed(layout: Layout, n: int, edges: list) -> Component:
+def _write_heap(path, layout: Layout, n: int, arcs) -> None:
+    # Generated straight to JSON: the parser reads any layout of the document.
     nodes = [f"n{i}" for i in range(n)]
-    return Component(layout, {"x"}, set(nodes), {VarEdge("x", "n0"), *edges})
+    doc = {
+        "layout": layout.value,
+        "variables": ["x"],
+        "nodes": nodes,
+        "var_edges": [["x", "n0"]],
+        "node_edges": [[f"n{a}", f"n{b}", *label] for a, b, *label in arcs],
+    }
+    path.write_text(json.dumps({"components": [doc]}), encoding="utf-8")
 
 
-def _chain(layout: Layout, n: int) -> Component:
-    edges = [NodeEdge(f"n{i}", f"n{i + 1}") for i in range(n - 1)]
-    if layout is Layout.C:
-        edges.append(NodeEdge(f"n{n - 1}", "n0"))
-    return _headed(layout, n, edges)
+def _chain_arcs(n: int, ring: bool) -> list:
+    return [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if ring else [])
 
 
-def _perfect_tree(height: int) -> Component:
-    n = 2**height - 1
-    edges = [
-        TreeEdge(f"n{i}", f"n{2 * i + k}", label)
-        for i in range(n // 2)
-        for k, label in ((1, "l"), (2, "r"))
-    ]
-    return _headed(Layout.T, n, edges)
+def _tree_arcs(height: int) -> list:
+    inner = range(2 ** (height - 1) - 1)
+    return [(i, 2 * i + k, label) for i in inner for k, label in ((1, "l"), (2, "r"))]
 
 
-def _layered_dag(n: int) -> Component:
+def _dag_arcs(n: int) -> list:
     # A root over layers of DAG_WIDTH nodes, complete bipartite between
     # consecutive layers: each layer is one reference-similar group.
     layers = [range(s, min(n, s + DAG_WIDTH)) for s in range(1, n, DAG_WIDTH)]
-    edges = [NodeEdge("n0", f"n{j}") for j in layers[0]]
+    arcs = [(0, j) for j in layers[0]]
     for upper, lower in zip(layers, layers[1:]):
-        edges.extend(NodeEdge(f"n{a}", f"n{b}") for a in upper for b in lower)
-    return _headed(Layout.DAG, n, edges)
+        arcs.extend((a, b) for a in upper for b in lower)
+    return arcs
 
 
+def _layered_dag(n: int) -> Component:
+    edges = [NodeEdge(f"n{a}", f"n{b}") for a, b in _dag_arcs(n)]
+    return Component(Layout.DAG, {"x"}, {f"n{i}" for i in range(n)}, {VarEdge("x", "n0"), *edges})
+
+
+# Wall-time bounds of the abstract command at 10^5 nodes: three times the
+# median of three runs when the ranked index landed (1.7, 1.6, 2.0 and
+# 6.1 s on a shared 2-vCPU VM, Python 3.11).  Never loosen them.
 @pytest.mark.parametrize(
-    "build, expected",
+    "layout, n, arcs, expected, bound_s",
     [
-        (lambda: _chain(Layout.SLL, 20_000), 2),
-        (lambda: _chain(Layout.C, 20_000), 2),
-        (lambda: _perfect_tree(14), 3),
-        (lambda: _layered_dag(10_000), 1_251),
+        (Layout.SLL, 100_000, lambda: _chain_arcs(100_000, ring=False), 2, 5.1),
+        (Layout.C, 100_000, lambda: _chain_arcs(100_000, ring=True), 2, 4.8),
+        (Layout.T, 2**17 - 1, lambda: _tree_arcs(17), 3, 6.0),
+        (Layout.DAG, 100_000, lambda: _dag_arcs(100_000), 12_501, 18.4),
     ],
     ids=["list", "ring", "tree", "dag"],
 )
-def test_large_component_abstracts(build, expected, tmp_path):
+def test_large_component_abstracts(layout, n, arcs, expected, bound_s, tmp_path):
     heap_path, out, wit = (tmp_path / name for name in ("heap.json", "out.json", "w.json"))
-    heap_path.write_text(serialize_heap(Heap((build(),))), encoding="utf-8")
+    _write_heap(heap_path, layout, n, arcs())
+    start = time.perf_counter()
     assert run(["abstract", str(heap_path), "--out", str(out), "--witness", str(wit)]) == 0
+    elapsed = time.perf_counter() - start
     (component,) = json.loads(out.read_text(encoding="utf-8"))["components"]
     assert len(component["nodes"]) == expected
+    assert elapsed < bound_s
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from heapabstract import (
     DomainMismatchError,
     Heap,
     Layout,
+    UnknownNodeError,
     Witness,
     abstract_component,
     check_valid_abstraction,
@@ -390,6 +391,13 @@ class TestBruteForce:
                         break
                 assert find_witness_bruteforce(source, target) == first
 
+    def test_undeclared_endpoint_is_an_unknown_node_error(self):
+        c = _to_undeclared("zz")
+        with pytest.raises(UnknownNodeError, match=r"edge \(a,zz\) has an undeclared endpoint"):
+            find_witness_bruteforce(c, c)
+        with pytest.raises(UnknownNodeError):
+            find_witness_bruteforce(comp(Layout.SLL, {"x"}, {"a"}, {ve("x", "a")}), c)
+
     def test_long_list_without_recursion(self, tmp_path):
         # One search level per node: 1,100 levels is deeper than the
         # default recursion limit allows a frame-per-level search to go.
@@ -398,6 +406,11 @@ class TestBruteForce:
         path = tmp_path / "list.json"
         path.write_text(serialize_heap(Heap((comp(Layout.SLL, {"v"}, nodes, edges),))))
         assert run(["check-valid", str(path), str(path), "--budget", "5000"]) == 0
+
+
+def _to_undeclared(target):
+    # Declares only "a", but its node edge points at ``target``.
+    return comp(Layout.SLL, {"x"}, {"a"}, {ve("x", "a"), ne("a", target)})
 
 
 class TestIsomorphic:
@@ -454,6 +467,14 @@ class TestIsomorphic:
         r2 = relabel(c, random_relabeling(rng, c, prefix="q"))
         assert isomorphic(c, r1) and isomorphic(r1, c)
         assert isomorphic(r1, r2) and isomorphic(c, r2)
+
+    def test_undeclared_endpoint_is_an_unknown_node_error(self):
+        # Equal but for the undeclared targets, which no renaming of nodes relates.
+        with pytest.raises(UnknownNodeError) as exc:
+            isomorphic(_to_undeclared("zz"), _to_undeclared("yy"))
+        assert exc.value.code == "UnknownNode"
+        with pytest.raises(UnknownNodeError):
+            isomorphic(_to_undeclared("zz"), _to_undeclared("zz"))
 
     def test_different_edge_counts(self, fig1):
         smaller = Component(
