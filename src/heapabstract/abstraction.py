@@ -16,10 +16,9 @@ witness certifying its own output, plus a log of the merges it performed.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
-from .classify import node_classes, similarity_groups
+from .classify import ordinary_ranks, similarity_groups
 from .errors import InternalInvariantError, InvalidComponentError
 from .model import (
     LEFT,
@@ -54,41 +53,41 @@ class AbstractionResult:
     merge_log: tuple
 
 
-def _merge_chain(index: ComponentIndex, ordinary: list) -> tuple:
-    """List and cycle merges: contract the smallest live ordinary pair.
+def _find(parent: dict, r: int) -> int:
+    """The survivor of rank r: the end of its parent chain, halved on the way."""
+    while r in parent:
+        up = parent[r]
+        if up in parent:
+            parent[r] = up = parent[up]
+        r = up
+    return r
 
-    Repeatedly contracts the lexicographically smallest edge between two
-    ordinary nodes: the source survives and takes over the edges of the
-    node it absorbs.  Only edges between ordinary nodes can ever form a
-    pair, so only those are tracked; a heap holds every pair created so
-    far, as the int ``a * size + b`` over ranks, and pairs whose endpoints
-    have since merged are skipped.
+
+def _merge_chain(index: ComponentIndex, ordinary: list) -> tuple:
+    """List and cycle merges: contract the smallest live ordinary pair until none is left.
+
+    The pair's source survives and takes over the absorbed node's
+    successor.  An ordinary node has at most one ordinary successor (a
+    list node has one next pointer; a cycle node with more is special),
+    and merges keep it so.  The smallest pair thus starts at the smallest
+    live node with an ordinary successor, which stays the smallest after
+    each absorption: the absorbed node's ordinary predecessors rank above
+    it, or their pairs would have been smaller.  So a scan of the ordinary
+    ranks in ascending order, each live rank absorbing its successor chain
+    one node at a time, makes the same merges in the same order.  A ring
+    stops when the successor's survivor is the scanner itself.
     """
-    size, members = len(index.ids), set(ordinary)
-    succ = {a: {b for b in index.out[a] if b in members} for a in ordinary}
-    pred = {b: {a for a in index.into[b] if a in members} for b in ordinary}
-    pairs = [a * size + b for a in ordinary for b in succ[a]]
-    heapq.heapify(pairs)
+    members = set(ordinary)
+    successor = {a: b for a in ordinary for b in index.out[a] if b in members}
     parent: dict = {}
-    while pairs:
-        a, b = divmod(heapq.heappop(pairs), size)
-        if a in parent or b in parent or b not in succ[a]:
-            continue
-        succ[a].discard(b)
-        pred[b].discard(a)
-        for x in succ.pop(b):
-            pred[x].discard(b)
-            if x != a:
-                succ[a].add(x)
-                pred[x].add(a)
-                heapq.heappush(pairs, a * size + x)
-        for y in pred.pop(b):
-            succ[y].discard(b)
-            succ[y].add(a)
-            pred[a].add(y)
-            heapq.heappush(pairs, y * size + a)
-        parent[b] = a
-    return parent, [(a, (b,)) for b, a in parent.items()], max(len(ordinary) - 1, 0)
+    log = []
+    for a in ordinary:
+        b = None if a in parent else successor.get(a)
+        while b is not None and (b := _find(parent, b)) != a:
+            parent[b] = a
+            log.append((a, (b,)))
+            b = successor.get(b)
+    return parent, log, max(len(ordinary) - 1, 0)
 
 
 def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
@@ -167,21 +166,6 @@ _MERGES = {
 }
 
 
-def _survivors(size: int, parent: dict) -> list:
-    """The survivor rank of every rank: the end of its parent chain."""
-    survivor = list(range(size))
-    for r in parent:
-        survivor[r] = -1
-    for r in parent:
-        chain = []
-        while survivor[r] < 0:
-            chain.append(r)
-            r = parent[r]
-        for m in chain:
-            survivor[m] = survivor[r]
-    return survivor
-
-
 def _image_edges(index: ComponentIndex, survivor: list, parent: dict) -> frozenset:
     """The output edges: every input edge's image, and self edges on merged survivors."""
     ids = index.ids
@@ -208,7 +192,11 @@ def _quotient(index: ComponentIndex, parent: dict, log: list) -> AbstractionResu
     c, ids = index.component, index.ids
     events = tuple(MergeEvent(ids[a], tuple(map(ids.__getitem__, removed))) for a, removed in log)
     if parent:
-        survivor = _survivors(len(ids), parent)
+        # A node enters parent before its absorber does, so in reverse each
+        # rank's parent already points at its survivor.
+        survivor = list(range(len(ids)))
+        for r in reversed(parent):
+            survivor[r] = _find(parent, r)
         node_map = dict(zip(ids, map(ids.__getitem__, survivor)))
         nodes = frozenset(node_map.values())
         output = Component(c.layout, c.vars, nodes, _image_edges(index, survivor, parent))
@@ -229,9 +217,7 @@ def abstract_component(c: Component) -> AbstractionResult:
     violations = validate_component(c, index)
     if violations:
         raise InvalidComponentError(violations)
-    # node_classes lists the nodes in id order, so its classes are by rank.
-    ordinary = [r for r, k in enumerate(node_classes(c, index).values()) if not k.special]
-    parent, log, budget = _MERGES[c.layout](index, ordinary)
+    parent, log, budget = _MERGES[c.layout](index, ordinary_ranks(c, index))
     if len(parent) > budget:
         raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
     return _quotient(index, parent, log)

@@ -18,6 +18,7 @@ from .model import (
     Component,
     ComponentIndex,
     Layout,
+    _require_declared,
     _require_layout,
 )
 
@@ -124,9 +125,15 @@ def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
     return dict(zip(index.ids, map(classes.__getitem__, masks)))
 
 
+def ordinary_ranks(c: Component, index: ComponentIndex) -> list:
+    """The ranks of the mergeable nodes, ascending (node_classes lists them in id order)."""
+    return [r for r, k in enumerate(node_classes(c, index).values()) if not k.special]
+
+
 def ordinary_nodes(c: Component, index: ComponentIndex | None = None) -> frozenset:
     """The mergeable nodes, complement of the special ones; ``index`` as in node_classes."""
-    return frozenset(n for n, k in node_classes(c, index).items() if not k.special)
+    index = index or ComponentIndex(c)
+    return frozenset(map(index.ids.__getitem__, ordinary_ranks(c, index)))
 
 
 def _neighbourhood(index: ComponentIndex, r: int) -> tuple:
@@ -141,7 +148,8 @@ def reference_similar(c: Component, a: str, b: str) -> bool:
 
     True when no edge connects them and they share exactly the same
     predecessor and successor sets (over node edges; variables do not
-    enter into similarity).
+    enter into similarity).  An edge with an undeclared endpoint raises
+    :class:`UnknownNodeError`, as an undeclared node does.
     """
     _require_layout(c, Layout.DAG, "reference similarity")
     if a == b:
@@ -150,15 +158,19 @@ def reference_similar(c: Component, a: str, b: str) -> bool:
 
 
 def reference_similar_set(c: Component, region: Iterable) -> bool:
-    """Whether every pair of distinct nodes in the region is reference similar."""
+    """Whether every pair of distinct nodes in the region is reference similar.
+
+    Undeclared nodes, in the region or at an edge's end, raise UnknownNodeError.
+    """
     _require_layout(c, Layout.DAG, "reference similarity")
     members = frozenset(region)
     unknown = members - c.nodes
     if unknown:
         raise UnknownNodeError(f"undeclared nodes: {sorted(unknown)}")
+    index = ComponentIndex(c)
+    _require_declared(index)
     if len(members) < 2:
         return True
-    index = ComponentIndex(c)
     ranks = {index.rank[n] for n in members}
     keys = {_neighbourhood(index, r) for r in ranks}
     # One shared neighbourhood that holds no member: no edge joins two members.
@@ -183,11 +195,11 @@ def similarity_groups(index: ComponentIndex, ordinary) -> list:
 def ref_similar_dag(c: Component) -> SimilarityPartition:
     """Partition a valid DAG's ordinary nodes into reference-similar groups.
 
-    Groups appear in ascending order of their smallest member.
+    Groups appear in ascending order of their smallest member.  An edge
+    with an undeclared endpoint raises :class:`UnknownNodeError`.
     """
     _require_layout(c, Layout.DAG, "similarity partitioning")
     index = ComponentIndex(c)
-    classes = node_classes(c, index).values()
-    ordinary = [r for r, k in enumerate(classes) if not k.special]
-    groups = similarity_groups(index, ordinary)
+    _require_declared(index)
+    groups = similarity_groups(index, ordinary_ranks(c, index))
     return SimilarityPartition(tuple([index.ids[r] for r in g] for g in groups))

@@ -329,6 +329,11 @@ def _require_layout(c: Component, layout: Layout, what: str):
         )
 
 
+def _require_declared(index: ComponentIndex):
+    if index.undeclared:
+        raise UnknownNodeError(f"edge {min(index.undeclared)} has an undeclared endpoint")
+
+
 def entry_nodes(c: Component) -> frozenset:
     """Traversal entry points of a component.
 

@@ -14,8 +14,8 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, DomainMismatchError, UnknownNodeError
-from .model import Component, ComponentIndex, Edge, VarEdge, Violation
+from .errors import BudgetExceededError, DomainMismatchError
+from .model import Component, ComponentIndex, Edge, VarEdge, Violation, _require_declared
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,6 @@ def compose(w1: Witness, w2: Witness) -> Witness:
         {n: w2.node_map[m] for n, m in w1.node_map.items()},
         {e: w2.edge_map[f] for e, f in w1.edge_map.items()},
     )
-
-
-def _require_declared(index: ComponentIndex):
-    if index.undeclared:
-        raise UnknownNodeError(f"edge {min(index.undeclared)} has an undeclared endpoint")
 
 
 def find_witness_bruteforce(source: Component, target: Component, node_budget: int = 8):

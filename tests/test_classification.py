@@ -322,3 +322,20 @@ class TestRefSimilarDag:
             renamed = relabel(c, mapping)
             original = {frozenset(mapping[n] for n in g) for g in ref_similar_dag(c).groups}
             assert set(ref_similar_dag(renamed).groups) == original
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda c: reference_similar(c, "a", "b"),
+        lambda c: reference_similar_set(c, ["a", "b"]),
+        ref_similar_dag,
+    ],
+    ids=["pair", "set", "partition"],
+)
+def test_similarity_rejects_undeclared_endpoints(query):
+    # a's successors include the undeclared zz, so a and b cannot be compared.
+    edges = {ne("r", "a"), ne("r", "b"), ne("a", "zz")}
+    c = comp(Layout.DAG, nodes={"r", "a", "b"}, edges=edges)
+    with pytest.raises(UnknownNodeError, match="undeclared endpoint"):
+        query(c)

@@ -75,6 +75,29 @@ def _converging_list(branches, length, rng):
     return comp(Layout.SLL, (), ids, edges)
 
 
+def _converging_forest(n, rng):
+    # Each node points at an earlier one, so branches run into branches
+    # at any depth; shuffled ids put the smallest rank anywhere in a chain.
+    ids = [f"f{i:03d}" for i in range(n)]
+    rng.shuffle(ids)
+    edges = {ne(ids[i], ids[rng.randrange(i)]) for i in range(1, n)}
+    variables = [f"v{k}" for k in range(rng.randint(0, 3))]
+    edges |= {ve(v, rng.choice(ids)) for v in variables}
+    return comp(Layout.SLL, variables, ids, edges)
+
+
+def _chorded_ring(n, chords, rng):
+    # The chords' endpoints become branch points, which split the ring
+    # into ordinary runs.
+    ids = [f"r{i:03d}" for i in range(n)]
+    rng.shuffle(ids)
+    edges = {ne(ids[i], ids[(i + 1) % n]) for i in range(n)}
+    edges |= {ne(*rng.sample(ids, 2)) for _ in range(chords)}
+    variables = [f"v{k}" for k in range(rng.randint(0, 2))]
+    edges |= {ve(v, rng.choice(ids)) for v in variables}
+    return comp(Layout.C, variables, ids, edges)
+
+
 def _perfect_tree(levels, chords, extra, rng):
     # Heap-ordered ids: node i has children 2i+1 and 2i+2.  Chords join
     # nodes of equal depth or point back up, and extra leaves hang off the
@@ -126,6 +149,11 @@ def test_large_components_match_oracle():
     for branches in (1, 2, 3):
         for length in (1, 3, 10):
             _assert_matches_with_reabstraction(_converging_list(branches, length, rng))
+    for _ in range(200):
+        _assert_matches_with_reabstraction(_converging_forest(rng.randint(2, 60), rng))
+    for _ in range(150):
+        n = rng.randint(3, 60)
+        _assert_matches_with_reabstraction(_chorded_ring(n, rng.randint(1, 4), rng))
     for levels in (2, 4, 7):
         for chords in (0, 1, 3):
             for extra in (0, 2, 12):

@@ -50,6 +50,14 @@ def _tree_arcs(height: int) -> list:
     return [(i, 2 * i + k, label) for i in inner for k, label in ((1, "l"), (2, "r"))]
 
 
+def _in_forest_arcs(height: int) -> list:
+    # A perfect binary tree with every edge reversed: each node points at
+    # its parent.  The leaves are the entries and every edge leads one step
+    # deeper, so only the variable's root is special and each of the
+    # root's two subtrees contracts to one node.
+    return [(i, (i - 1) // 2) for i in range(1, 2**height - 1)]
+
+
 def _dag_arcs(n: int) -> list:
     # A root over layers of DAG_WIDTH nodes, complete bipartite between
     # consecutive layers: each layer is one reference-similar group.
@@ -67,7 +75,9 @@ def _layered_dag(n: int) -> Component:
 
 # Wall-time bounds of the abstract command at 10^5 nodes: three times the
 # median of three runs when the ranked index landed (1.7, 1.6, 2.0 and
-# 6.1 s on a shared 2-vCPU VM, Python 3.11).  Never loosen them.
+# 6.1 s on a shared 2-vCPU VM, Python 3.11), and for the converging list
+# when the list merges became one rank-order scan (3.9 s, same VM).
+# Never loosen them.
 @pytest.mark.parametrize(
     "layout, n, arcs, expected, bound_s",
     [
@@ -75,8 +85,9 @@ def _layered_dag(n: int) -> Component:
         (Layout.C, 100_000, lambda: _chain_arcs(100_000, ring=True), 2, 4.8),
         (Layout.T, 2**17 - 1, lambda: _tree_arcs(17), 3, 6.0),
         (Layout.DAG, 100_000, lambda: _dag_arcs(100_000), 12_501, 18.4),
+        (Layout.SLL, 2**17 - 1, lambda: _in_forest_arcs(17), 3, 11.8),
     ],
-    ids=["list", "ring", "tree", "dag"],
+    ids=["list", "ring", "tree", "dag", "converging"],
 )
 def test_large_component_abstracts(layout, n, arcs, expected, bound_s, tmp_path):
     heap_path, out, wit = (tmp_path / name for name in ("heap.json", "out.json", "w.json"))
