@@ -54,7 +54,7 @@ class AbstractionResult:
 
 
 def _find(parent: dict, r: int) -> int:
-    """The survivor of rank r: the end of its parent chain, halved on the way."""
+    """The chain scan's survivor of rank r: the end of its parent chain, halved on the way."""
     while r in parent:
         up = parent[r]
         if up in parent:
@@ -87,7 +87,7 @@ def _merge_chain(index: ComponentIndex, ordinary: list) -> tuple:
             parent[b] = a
             log.append((a, (b,)))
             b = successor.get(b)
-    return parent, log, max(len(ordinary) - 1, 0)
+    return log, max(len(ordinary) - 1, 0)
 
 
 def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
@@ -105,11 +105,11 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
     the level's triples in ascending order, skipping those whose children
     are gone, therefore repeats "merge the smallest triple" exactly.
     """
-    parent: dict = {}
-    log = []
     depths = index.depths
     if not depths:
-        return parent, log, 0
+        return [], 0
+    absorbed: set = set()
+    log = []
     members = set(ordinary)
     by_level: dict = {}
     for r in ordinary:
@@ -117,7 +117,7 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
 
     def detachable(n: int, trio: tuple) -> bool:
         # n's own edges all touch n, which is in the trio and not merged.
-        return all(x in trio or x in parent for x in (*index.out[n], *index.into[n]))
+        return all(x in trio or x in absorbed for x in (*index.out[n], *index.into[n]))
 
     for level in range(max(depths) - 1, 0, -1):
         triples = []
@@ -131,10 +131,10 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
                     if b != c2 and detachable(b, trio) and detachable(c2, trio):
                         triples.append(trio)
         for a, b, c2 in sorted(triples):
-            if b not in parent and c2 not in parent:
-                parent[b] = parent[c2] = a
+            if b not in absorbed and c2 not in absorbed:
+                absorbed.update((b, c2))
                 log.append((a, (b, c2)))
-    return parent, log, len(ordinary) // 2 * 2
+    return log, len(ordinary) // 2 * 2
 
 
 def _merge_dag(index: ComponentIndex, ordinary: list) -> tuple:
@@ -144,20 +144,13 @@ def _merge_dag(index: ComponentIndex, ordinary: list) -> tuple:
     predecessor and successor sets, every edge of a removed member has
     its image on the kept member.
     """
-    parent: dict = {}
-    log = []
     groups = similarity_groups(index, ordinary)
-    for keeper, *rest in groups:
-        if rest:
-            for r in rest:
-                parent[r] = keeper
-            log.append((keeper, tuple(rest)))
-    return parent, log, len(ordinary) - len(groups)
+    return [(keeper, tuple(rest)) for keeper, *rest in groups if rest], len(ordinary) - len(groups)
 
 
 # Each takes the index and the ordinary ranks in ascending order, and
-# returns the parent map (survivor rank per removed rank), the merge log
-# as (survivor, removed) ranks and the bound on the number of removed nodes.
+# returns the merge log as (survivor, removed) ranks in merge order and
+# the bound on the number of removed nodes.
 _MERGES = {
     Layout.SLL: _merge_chain,
     Layout.T: _merge_tree,
@@ -166,7 +159,7 @@ _MERGES = {
 }
 
 
-def _image_edges(index: ComponentIndex, survivor: list, parent: dict) -> frozenset:
+def _image_edges(index: ComponentIndex, survivor: list, log: list) -> frozenset:
     """The output edges: every input edge's image, and self edges on merged survivors."""
     ids = index.ids
     # Images as (src, dst, tag) over survivor ranks, each kept once.
@@ -177,7 +170,7 @@ def _image_edges(index: ComponentIndex, survivor: list, parent: dict) -> frozens
     }
     loops = [(survivor[r], tag) for r, tags in enumerate(index.loops) for tag in tags]
     loop_tags = (LEFT, RIGHT) if index.component.layout is Layout.T else (UNLABELED,)
-    loops += [(s, tag) for s in {survivor[r] for r in parent} for tag in loop_tags]
+    loops += [(s, tag) for s in {survivor[a] for a, _ in log} for tag in loop_tags]
     images.update((s, s, tag) for s, tag in loops)
     edges = [
         NodeEdge(ids[a], ids[b]) if tag == UNLABELED else TreeEdge(ids[a], ids[b], "lr"[tag - LEFT])
@@ -188,21 +181,22 @@ def _image_edges(index: ComponentIndex, survivor: list, parent: dict) -> frozens
     return frozenset(edges)
 
 
-def _quotient(index: ComponentIndex, parent: dict, log: list) -> AbstractionResult:
+def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
     c, ids = index.component, index.ids
     events = tuple(MergeEvent(ids[a], tuple(map(ids.__getitem__, removed))) for a, removed in log)
-    if parent:
-        # A node enters parent before its absorber does, so in reverse each
-        # rank's parent already points at its survivor.
+    if log:
+        # A node absorbs before it is absorbed, so in reverse each
+        # absorber's survivor is final before its own entry is read.
         survivor = list(range(len(ids)))
-        for r in reversed(parent):
-            survivor[r] = _find(parent, r)
+        for a, removed in reversed(log):
+            s = survivor[a]
+            for r in removed:
+                survivor[r] = s
         node_map = dict(zip(ids, map(ids.__getitem__, survivor)))
         nodes = frozenset(node_map.values())
-        output = Component(c.layout, c.vars, nodes, _image_edges(index, survivor, parent))
+        output = Component(c.layout, c.vars, nodes, _image_edges(index, survivor, log))
     else:  # nothing merged: the output is the input
-        node_map = dict(zip(ids, ids))
-        output = Component(c.layout, c.vars, c.nodes, c.edges)
+        node_map, output = dict(zip(ids, ids)), c
     return AbstractionResult(output, Witness(node_map, EdgeImages(c.edges, node_map)), events)
 
 
@@ -217,10 +211,10 @@ def abstract_component(c: Component) -> AbstractionResult:
     violations = validate_component(c, index)
     if violations:
         raise InvalidComponentError(violations)
-    parent, log, budget = _MERGES[c.layout](index, ordinary_ranks(c, index))
-    if len(parent) > budget:
+    log, budget = _MERGES[c.layout](index, ordinary_ranks(index))
+    if sum(len(removed) for _, removed in log) > budget:
         raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
-    return _quotient(index, parent, log)
+    return _quotient(index, log)
 
 
 def heap_abstract_results(h: Heap) -> list:

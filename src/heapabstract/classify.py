@@ -125,15 +125,15 @@ def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
     return dict(zip(index.ids, map(classes.__getitem__, masks)))
 
 
-def ordinary_ranks(c: Component, index: ComponentIndex) -> list:
+def ordinary_ranks(index: ComponentIndex) -> list:
     """The ranks of the mergeable nodes, ascending (node_classes lists them in id order)."""
-    return [r for r, k in enumerate(node_classes(c, index).values()) if not k.special]
+    return [r for r, k in enumerate(node_classes(index.component, index).values()) if not k.special]
 
 
-def ordinary_nodes(c: Component, index: ComponentIndex | None = None) -> frozenset:
-    """The mergeable nodes, complement of the special ones; ``index`` as in node_classes."""
-    index = index or ComponentIndex(c)
-    return frozenset(map(index.ids.__getitem__, ordinary_ranks(c, index)))
+def ordinary_nodes(c: Component) -> frozenset:
+    """The mergeable nodes, complement of the special ones."""
+    index = ComponentIndex(c)
+    return frozenset(map(index.ids.__getitem__, ordinary_ranks(index)))
 
 
 def _neighbourhood(index: ComponentIndex, r: int) -> tuple:
@@ -201,5 +201,5 @@ def ref_similar_dag(c: Component) -> SimilarityPartition:
     _require_layout(c, Layout.DAG, "similarity partitioning")
     index = ComponentIndex(c)
     _require_declared(index)
-    groups = similarity_groups(index, ordinary_ranks(c, index))
+    groups = similarity_groups(index, ordinary_ranks(index))
     return SimilarityPartition(tuple([index.ids[r] for r in g] for g in groups))

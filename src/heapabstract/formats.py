@@ -232,21 +232,11 @@ def _put_array(out: list, texts, depth: int, brackets: str = "[]"):
     out.append(_INDENT[depth] + brackets[1] if opening is sep else brackets)
 
 
-def _canonical_order(edges) -> list:
-    """``edges`` in canonical order: kind tag, then first id, second id and label.
-
-    Edges are tuples whose fields are in exactly that order, so this is
-    their sorted order.  Both writers and the DOT export take their edge
-    order from here.
-    """
-    return sorted(edges)
-
-
 def _put_component(out: list, c: Component):
     # A component is an item of the components array, at depth 2.  An
     # edge's heap-document row is the edge without its kind tag.  Kind
     # tags sort "node" < "tree" < "var", so variable edges sort last.
-    edges = _canonical_order(c.edges)
+    edges = sorted(c.edges)
     first_var = bisect_left(edges, ("var",))
     opening, sep, close = "[" + _INDENT[5], "," + _INDENT[5], _INDENT[4] + "]"
 
@@ -338,13 +328,13 @@ def _put_witness(out: list, w: Witness):
     labels = {"l": sep + '"l"', "r": sep + '"r"'}
 
     def pairs():
-        for e in _canonical_order(edge_map):
+        for e in sorted(edge_map):
             source, image = sep.join(map(_quote, e)), sep.join(map(_quote, edge_map[e]))
             yield opening + source + middle + image + close
 
     def forced_pairs():
         # A produced witness: each image is the edge between its ends' images.
-        for e in _canonical_order(edge_map):
+        for e in sorted(edge_map):
             kind, a, b = e[0], e[1], e[2]
             head, tail = heads[kind], labels[e[3]] if kind == "tree" else ""
             if kind == "var":
@@ -402,7 +392,7 @@ def export_dot(h: Heap, name: str = "heap") -> str:
             lines.append(f"    {_dot_id(v)} [shape=circle];")
         for n in sorted(comp.nodes):
             lines.append(f"    {_dot_id(n)} [shape=oval];")
-        for e in _canonical_order(comp.edges):
+        for e in sorted(comp.edges):
             label = f' [label="{e[3]}"]' if len(e) == 4 else ""
             lines.append(f"    {_dot_id(e[1])} -> {_dot_id(e[2])}{label};")
         lines.append("  }")

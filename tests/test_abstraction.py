@@ -518,7 +518,7 @@ def test_exceeded_merge_bound_is_an_internal_invariant_error(fig1, monkeypatch):
     from heapabstract import InternalInvariantError, abstraction
 
     def greedy(index, ordinary):
-        return {n: "h0" for n in ordinary}, [], 0
+        return [(ordinary[0], tuple(ordinary[1:]))], 0
 
     monkeypatch.setitem(abstraction._MERGES, Layout.SLL, greedy)
     with pytest.raises(InternalInvariantError, match="merge bound"):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 import heapabstract
 from conftest import FIXTURE_DIR
+from genheaps import GENERATORS, comp, te, ve
+from heapabstract import Heap, Layout, serialize_heap
 from heapabstract.cli import run
 
 FIG1 = str(FIXTURE_DIR / "fig1_sll.json")
@@ -283,6 +286,47 @@ def test_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "heapabstract" in loaded
     assert sorted(loaded - {"heapabstract"} - sys.stdlib_module_names) == []
+
+
+def test_outputs_do_not_depend_on_hash_seed_or_input_order(tmp_path):
+    # String hashing, and with it set and frozenset order, varies with
+    # PYTHONHASHSEED; the input lists' order is free.  Neither may reach
+    # a byte of the heap, the witness, the stats or the classification.
+    rng = random.Random(12)
+    components = [
+        GENERATORS[layout](rng, max_nodes=30, prefix=f"k{i}x")
+        for i, layout in enumerate(list(Layout) * 10)
+    ]
+    # A tree whose leaf b2 is a second l child of a, so two triples compete.
+    shape = [("R", "a", "l"), ("a", "b", "l"), ("a", "b2", "l"), ("a", "c", "r")]
+    shape += [("b", "e", "l"), ("b", "f", "r")]
+    nodes = {n for edge in shape for n in edge[:2]}
+    components.append(comp(Layout.T, {"x"}, nodes, {ve("x", "R"), *(te(*e) for e in shape)}))
+    text = serialize_heap(Heap(tuple(components)))
+    doc = json.loads(text)
+    for c in doc["components"]:
+        for key in ("variables", "nodes", "var_edges", "node_edges"):
+            rng.shuffle(c[key])
+    heaps = [tmp_path / "heap.json", tmp_path / "shuffled.json"]
+    heaps[0].write_text(text, encoding="utf-8")
+    heaps[1].write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(heapabstract.__file__).resolve().parents[1])
+
+    def cli(seed, *argv):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        command = [sys.executable, "-m", "heapabstract.cli", *argv]
+        proc = subprocess.run(command, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    runs = set()
+    for heap in heaps:
+        for seed in range(4):
+            out, wit = tmp_path / "out.json", tmp_path / "w.json"
+            stats = cli(seed, "abstract", heap, "--out", out, "--witness", wit, "--stats").stderr
+            classes = cli(seed, "classify", heap).stdout
+            runs.add((out.read_bytes(), wit.read_bytes(), stats, classes))
+    assert len(runs) == 1
 
 
 class TestCheckWitness:
