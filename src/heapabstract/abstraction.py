@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from .classify import ordinary_ranks, similarity_groups
 from .errors import InternalInvariantError, InvalidComponentError
 from .model import (
-    LEFT,
-    RIGHT,
-    UNLABELED,
     Component,
     ComponentIndex,
     Heap,
@@ -106,8 +103,6 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
     are gone, therefore repeats "merge the smallest triple" exactly.
     """
     depths = index.depths
-    if not depths:
-        return [], 0
     absorbed: set = set()
     log = []
     members = set(ordinary)
@@ -119,12 +114,12 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
         # n's own edges all touch n, which is in the trio and not merged.
         return all(x in trio or x in absorbed for x in (*index.out[n], *index.into[n]))
 
-    for level in range(max(depths) - 1, 0, -1):
+    for level in range(max(depths, default=0) - 1, 0, -1):
         triples = []
         for a in by_level.get(level, ()):
             children = list(zip(index.out[a], index.tags[a]))
-            left = [b for b, tag in children if tag == LEFT and b in members]
-            right = [b for b, tag in children if tag == RIGHT and b in members]
+            left = [b for b, tag in children if tag == "l" and b in members]
+            right = [b for b, tag in children if tag == "r" and b in members]
             for b in left:
                 for c2 in right:
                     trio = (a, b, c2)
@@ -169,12 +164,11 @@ def _image_edges(index: ComponentIndex, survivor: list, log: list) -> frozenset:
         for dst, tag in zip(succ, tags)
     }
     loops = [(survivor[r], tag) for r, tags in enumerate(index.loops) for tag in tags]
-    loop_tags = (LEFT, RIGHT) if index.component.layout is Layout.T else (UNLABELED,)
+    loop_tags = ("l", "r") if index.component.layout is Layout.T else ("",)
     loops += [(s, tag) for s in {survivor[a] for a, _ in log} for tag in loop_tags]
     images.update((s, s, tag) for s, tag in loops)
     edges = [
-        NodeEdge(ids[a], ids[b]) if tag == UNLABELED else TreeEdge(ids[a], ids[b], "lr"[tag - LEFT])
-        for a, b, tag in images
+        TreeEdge(ids[a], ids[b], tag) if tag else NodeEdge(ids[a], ids[b]) for a, b, tag in images
     ]
     # Variables point at special nodes, which no merge removes.
     edges.extend(VarEdge(v, ids[r]) for r, variables in enumerate(index.pointed) for v in variables)

@@ -14,7 +14,6 @@ from typing import Iterable
 
 from .errors import SameNodeError, UnknownNodeError
 from .model import (
-    UNLABELED,
     Component,
     ComponentIndex,
     Layout,
@@ -70,7 +69,7 @@ def _mark_depth_anomalies(index: ComponentIndex, masks: list):
     for src, (succ, tags) in enumerate(zip(index.out, index.tags)):
         above = depths[src]
         for dst, tag in zip(succ, tags):
-            if (tag != UNLABELED) is not tree:
+            if bool(tag) is not tree:
                 continue
             if above > depths[dst]:
                 bit = _BACK

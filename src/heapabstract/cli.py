@@ -167,9 +167,8 @@ def _cmd_classify(args) -> int:
         _print_validation(findings, sys.stderr)
         return INPUT_ERROR
     lines = []
-    for i, (comp, classes) in enumerate(zip(heap.components, classified)):
-        for n in sorted(comp.nodes):
-            k = classes[n]
+    for i, classes in enumerate(classified):
+        for n, k in classes.items():  # node_classes lists nodes in id order
             reasons = ",".join(r.value for r in k.reasons)
             label = "special" if k.special else "ordinary"
             lines.append(f"component {i} {n} {label}" + (f" [{reasons}]" if reasons else ""))

@@ -52,6 +52,8 @@ def _load_json(text: str):
         ) from exc
     except RecursionError:
         raise ParseError("InvalidJson", "nesting too deep") from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ParseError("InvalidJson", str(exc)) from None
 
 
 def _require_object(value, path: str, keys: tuple) -> dict:

@@ -2,9 +2,9 @@
 
 A component is one labeled directed graph with a layout tag; a heap is an
 ordered collection of disjoint components.  Node and variable identifiers
-are plain string tokens (nonempty, no whitespace, no commas).  The same
-types serve concrete heaps (nodes are addresses) and abstract ones (nodes
-stand for merged regions); concreteness is a usage convention.
+are plain string tokens (nonempty, no whitespace, commas or surrogates).
+The same types serve concrete heaps (nodes are addresses) and abstract
+ones (nodes stand for merged regions); concreteness is a usage convention.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     UnreachableNodeError,
 )
 
-_TOKEN = re.compile(r"[^\s,]+")  # used with fullmatch
+_TOKEN = re.compile(r"[^\s,\ud800-\udfff]+")  # used with fullmatch
 
 
 class Layout(Enum):
@@ -106,7 +106,7 @@ class TreeEdge(Edge):
 
 
 def _tokens_ok(ids) -> bool:
-    """Whether every id is a token: a nonempty string without whitespace or commas."""
+    """Whether every id is a token: a nonempty string without whitespace, commas or surrogates."""
     try:
         return all(map(_TOKEN.fullmatch, ids))
     except TypeError:  # a non-string id
@@ -215,11 +215,6 @@ def edges_out(c: Component, r: Iterable) -> frozenset:
     return _region_scan(c, r, (True, False))
 
 
-# Per-edge tags of pointer edges: an unlabeled edge, or a tree edge's label.
-UNLABELED, LEFT, RIGHT = 0, 1, 2
-_LABEL_TAGS = {"l": LEFT, "r": RIGHT}
-
-
 class ComponentIndex:
     """Adjacency of one component over node ranks, built in one pass over its edges.
 
@@ -233,7 +228,7 @@ class ComponentIndex:
     compares ints.  All other fields are lists indexed by rank.  Pointer
     edges between distinct nodes are kept once by source and once by
     target: ``out[r]`` holds the ranks of r's successors and ``tags[r]``,
-    in parallel, each edge's tag (``UNLABELED``, ``LEFT`` or ``RIGHT``);
+    in parallel, each edge's label as read ("l", "r", or "" when unlabeled);
     ``into[r]`` holds the ranks of r's predecessors, so ``len`` gives the
     non-self degrees.  ``loops[r]`` holds the tags of r's self edges and
     ``pointed[r]`` the variables pointing at r.  Edges with an undeclared
@@ -273,7 +268,7 @@ class ComponentIndex:
             except KeyError:
                 self.undeclared.append(e)
                 continue
-            tag = _LABEL_TAGS[e[3]] if kind is TreeEdge else UNLABELED
+            tag = e[3] if kind is TreeEdge else ""
             if src == dst:
                 loops[src] += (tag,)
             else:

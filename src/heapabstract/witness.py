@@ -182,13 +182,13 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
         raise BudgetExceededError(
             f"source has {len(source.nodes)} nodes, budget is {node_budget}"
         )
-    _require_declared(ComponentIndex(source))
-    _require_declared(ComponentIndex(target))
+    source_index, target_index = ComponentIndex(source), ComponentIndex(target)
+    _require_declared(source_index)
+    _require_declared(target_index)
     if source.layout is not target.layout or source.vars != target.vars:
         return None
 
-    src_nodes = sorted(source.nodes)
-    tgt_nodes = sorted(target.nodes)
+    src_nodes, tgt_nodes = source_index.ids, target_index.ids
     if not src_nodes:
         if tgt_nodes or target.edges or source.edges:
             return None
@@ -198,9 +198,8 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
 
     # Edges are checked as soon as their later endpoint gets assigned.
     edges_at: dict = {i: [] for i in range(len(src_nodes))}
-    index = {n: i for i, n in enumerate(src_nodes)}
     for e in source.edges:
-        edges_at[max(index[n] for n in e.ends)].append(e)
+        edges_at[max(source_index.rank[n] for n in e.ends)].append(e)
 
     assignment: dict = {}
     use_count = {t: 0 for t in tgt_nodes}

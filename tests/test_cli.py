@@ -269,6 +269,57 @@ def test_non_utf8_input_is_an_input_error(argv, tmp_path, capsys):
     assert "error: InvalidJson at byte 100016: input is not UTF-8 (invalid start byte)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "BAD"],
+        ["abstract", "BAD"],
+        ["classify", "BAD"],
+        ["export-dot", "BAD"],
+        ["check-witness", FIG1, FIG1, "BAD"],
+    ],
+)
+def test_oversized_integer_literal_is_an_input_error(argv, tmp_path, capsys):
+    # Past the interpreter's integer conversion limit (4,300 digits by
+    # default) json.loads raises a plain ValueError.  An interpreter without
+    # the limit reads the integer, and the document then fails its schema.
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" + "1" * 5000 + "]", encoding="utf-8")
+    assert run([str(bad) if a == "BAD" else a for a in argv]) == 2
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert "error: InvalidJson at $: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "abstract", "classify", "export-dot", "check-witness"]
+)
+def test_lone_surrogate_id_is_an_input_error(command, artifacts, tmp_path):
+    # "\ud800" is valid JSON, but no UTF-8 output can carry the id it decodes
+    # to.  The CLI runs in its own process, with the standard streams it has
+    # there.
+    out, wit = artifacts
+    if command == "check-witness":
+        doc = json.loads(wit.read_text(encoding="utf-8"))
+        doc["witnesses"][0]["node_map"]["\ud800"] = "h1"
+        path, argv = wit, [command, FIG1, str(out), str(wit)]
+        location = "$.witnesses[0].node_map.\\ud800"
+    else:
+        node = {"layout": "SLL", "variables": ["x"], "nodes": ["\ud800"]}
+        doc = {"components": [{**node, "var_edges": [["x", "\ud800"]], "node_edges": []}]}
+        path = tmp_path / "heap.json"
+        argv, location = [command, str(path)], "$.components[0].nodes[0]"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(heapabstract.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "heapabstract.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: BadToken at {location}: bad identifier token: ")
+
+
 def test_imports_only_the_standard_library():
     # Without the site module no third-party package is importable, and
     # every top-level module loaded is either the script or the import.

@@ -8,11 +8,14 @@ error code and location of edge rows that the parser's edge loop refuses,
 and so the order in which those rows are checked.
 """
 
+import contextlib
+import io
 import json
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genheaps import random_heap
@@ -40,8 +43,9 @@ json_values = st.recursive(
 )
 
 # Strings a mutation may put where an id, a label or a kind tag belongs.
+# A lone surrogate is valid JSON text but no UTF-8 output can carry it.
 odd_strings = st.sampled_from(
-    ["", " ", "a b", "x,y", "l", "r", "m", "var", "node", "tree", "n", "é", "\u0001"]
+    ["", " ", "a b", "x,y", "l", "r", "m", "var", "node", "tree", "n", "é", "\u0001", "\ud800"]
 )
 
 
@@ -138,14 +142,37 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _run_strict(argv) -> int:
+    # The exit code with stdout a strict UTF-8 stream, as a terminal or a pipe is.
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="utf-8")):
+        return run(argv)
+
+
+SURROGATE_HEAP = {
+    "components": [
+        {
+            "layout": "SLL",
+            "variables": ["x"],
+            "nodes": ["\ud800"],
+            "var_edges": [["x", "\ud800"]],
+            "node_edges": [],
+        }
+    ]
+}
+
+
 @given(doc=st.one_of(json_values, mutated_heap()))
+@example(doc=SURROGATE_HEAP)
 @settings(max_examples=150)
 def test_cli_validate_and_abstract_exit_codes(workdir, doc):
+    # Every command that reads one heap: validate, abstract, classify, export-dot.
     heap = workdir / "heap.json"
     heap.write_text(json.dumps(doc), encoding="utf-8")
-    assert run(["validate", str(heap)]) in (0, 2)
+    assert _run_strict(["validate", str(heap)]) in (0, 2)
     argv = ["abstract", str(heap), "--out", str(workdir / "out.json")]
-    assert run([*argv, "--witness", str(workdir / "w.json")]) in (0, 2)
+    assert _run_strict([*argv, "--witness", str(workdir / "w.json")]) in (0, 2)
+    assert _run_strict(["classify", str(heap)]) in (0, 2)
+    assert _run_strict(["export-dot", str(heap)]) in (0, 2)
 
 
 @given(seed=st.integers(0, 10**6), data=st.data())
@@ -163,6 +190,21 @@ def test_cli_check_witness_exit_codes(workdir, seed, data):
         (workdir / f"{key}.json").write_text(json.dumps(doc), encoding="utf-8")
     paths = [str(workdir / f"{key}.json") for key in ("source", "target", "witness")]
     assert run(["check-witness", *paths]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_heap, '{"components": [%s]}'), (parse_witnesses, '{"witnesses": [%s]}')],
+    ids=["heap", "witnesses"],
+)
+def test_oversized_integer_literal_is_a_document_error(parse, text):
+    # Past the interpreter's integer conversion limit (4,300 digits by
+    # default) json.loads raises a plain ValueError; without the limit the
+    # integer is read and fails the schema.
+    with pytest.raises(DocumentError) as exc:
+        parse(text % ("1" * 5000))
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert exc.value.code == "InvalidJson"
 
 
 def _heap_doc(layout, var_edges, node_edges):

@@ -41,6 +41,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             comp(Layout.SLL, nodes={"a\n"})
 
+    def test_surrogate_token_rejected(self):
+        # A lone surrogate cannot be written as UTF-8; a paired escape in
+        # JSON decodes to one character, which is a token.
+        with pytest.raises(ValueError, match="bad identifier token"):
+            comp(Layout.SLL, nodes={"a", "\ud800"})
+        with pytest.raises(ValueError, match="bad identifier token"):
+            comp(Layout.SLL, vars={"v\udfff"})
+        assert comp(Layout.SLL, nodes={"\U0001f600"}).nodes == {"\U0001f600"}
+
     def test_bad_token_named(self):
         with pytest.raises(ValueError, match="bad identifier token: 'b c'"):
             comp(Layout.SLL, vars={"v"}, nodes={"a", "b c", "d"})
