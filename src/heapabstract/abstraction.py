@@ -16,8 +16,6 @@ witness certifying its own output, plus a log of the merges it performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import ordinary_ranks, similarity_groups
 from .errors import InternalInvariantError, InvalidComponentError
 from .model import (
@@ -25,29 +23,33 @@ from .model import (
     ComponentIndex,
     Heap,
     Layout,
-    NodeEdge,
-    TreeEdge,
-    VarEdge,
+    RankedCore,
+    Value,
+    _setattr,
     validate_component,
 )
 from .witness import EdgeImages, Witness
 
 
-@dataclass(frozen=True)
-class MergeEvent:
+class MergeEvent(Value):
     """One merge step: the surviving node and the nodes it absorbed."""
 
-    survivor: str
-    removed: tuple
+    __slots__ = _fields = ("survivor", "removed")
+
+    def __init__(self, survivor: str, removed: tuple):
+        _setattr(self, "survivor", survivor)
+        _setattr(self, "removed", removed)
 
 
-@dataclass(frozen=True)
-class AbstractionResult:
+class AbstractionResult(Value):
     """Output component, its witness, and the ordered merge log."""
 
-    output: Component
-    witness: Witness
-    merge_log: tuple
+    __slots__ = _fields = ("output", "witness", "merge_log")
+
+    def __init__(self, output: Component, witness: Witness, merge_log: tuple):
+        _setattr(self, "output", output)
+        _setattr(self, "witness", witness)
+        _setattr(self, "merge_log", merge_log)
 
 
 def _find(parent: dict, r: int) -> int:
@@ -154,29 +156,8 @@ _MERGES = {
 }
 
 
-def _image_edges(index: ComponentIndex, survivor: list, log: list) -> frozenset:
-    """The output edges: every input edge's image, and self edges on merged survivors."""
-    ids = index.ids
-    # Images as (src, dst, tag) over survivor ranks, each kept once.
-    images = {
-        (survivor[src], survivor[dst], tag)
-        for src, (succ, tags) in enumerate(zip(index.out, index.tags))
-        for dst, tag in zip(succ, tags)
-    }
-    loops = [(survivor[r], tag) for r, tags in enumerate(index.loops) for tag in tags]
-    loop_tags = ("l", "r") if index.component.layout is Layout.T else ("",)
-    loops += [(s, tag) for s in {survivor[a] for a, _ in log} for tag in loop_tags]
-    images.update((s, s, tag) for s, tag in loops)
-    edges = [
-        TreeEdge(ids[a], ids[b], tag) if tag else NodeEdge(ids[a], ids[b]) for a, b, tag in images
-    ]
-    # Variables point at special nodes, which no merge removes.
-    edges.extend(VarEdge(v, ids[r]) for r, variables in enumerate(index.pointed) for v in variables)
-    return frozenset(edges)
-
-
 def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
-    c, ids = index.component, index.ids
+    c, core, ids = index.component, index.core, index.ids
     events = tuple(MergeEvent(ids[a], tuple(map(ids.__getitem__, removed))) for a, removed in log)
     if log:
         # A node absorbs before it is absorbed, so in reverse each
@@ -187,11 +168,19 @@ def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
             for r in removed:
                 survivor[r] = s
         node_map = dict(zip(ids, map(ids.__getitem__, survivor)))
-        nodes = frozenset(node_map.values())
-        output = Component(c.layout, c.vars, nodes, _image_edges(index, survivor, log))
+        # The survivors, ascending, rank the output's edge keys; each one
+        # that absorbed gains a self edge (an "l" and an "r" one in a tree).
+        kept = [r for r, s in enumerate(survivor) if r == s]
+        position = dict(zip(kept, range(len(kept))))
+        image, m, tree = [position[s] for s in survivor], len(kept), c.layout is Layout.T
+        keys = core.mapped(image, range(len(core.vars)), m)
+        loops = {image[a] * (m + 1) for a, _ in log}  # into keys[1] in a tree, else keys[0]
+        keys[tree].extend([k * 2 + label for k in loops for label in (0, 1)] if tree else loops)
+        out = RankedCore([ids[r] for r in kept], core.vars, tuple(sorted(set(k)) for k in keys))
+        output = Component._from_core(c.layout, c.vars, frozenset(out.ids), out)
     else:  # nothing merged: the output is the input
         node_map, output = dict(zip(ids, ids)), c
-    return AbstractionResult(output, Witness(node_map, EdgeImages(c.edges, node_map)), events)
+    return AbstractionResult(output, Witness(node_map, EdgeImages(c, node_map)), events)
 
 
 def abstract_component(c: Component) -> AbstractionResult:

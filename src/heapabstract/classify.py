@@ -8,7 +8,6 @@ merged.  Which clauses apply depends on the component layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -17,8 +16,10 @@ from .model import (
     Component,
     ComponentIndex,
     Layout,
+    Value,
     _require_declared,
     _require_layout,
+    _setattr,
 )
 
 
@@ -30,25 +31,26 @@ class Reason(Enum):
     MULTI_OUT = "MultiOut"
 
 
-@dataclass(frozen=True)
-class NodeClass:
+class NodeClass(Value):
     """Classification of one node; special exactly when reasons is nonempty."""
 
-    reasons: tuple
+    __slots__ = _fields = ("reasons",)
+
+    def __init__(self, reasons: tuple):
+        _setattr(self, "reasons", reasons)
 
     @property
     def special(self) -> bool:
         return bool(self.reasons)
 
 
-@dataclass(frozen=True)
-class SimilarityPartition:
+class SimilarityPartition(Value):
     """Disjoint reference-similar groups covering a DAG's ordinary nodes."""
 
-    groups: tuple
+    __slots__ = _fields = ("groups",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(frozenset(g) for g in self.groups))
+    def __init__(self, groups: tuple):
+        _setattr(self, "groups", tuple(frozenset(g) for g in groups))
         seen: set = set()
         for g in self.groups:
             if seen & g:

@@ -144,7 +144,7 @@ def _cmd_abstract(args) -> int:
             print(
                 f"component {i}: {before.layout.value}"
                 f" nodes {len(before.nodes)} -> {len(r.output.nodes)}"
-                f" edges {len(before.edges)} -> {len(r.output.edges)}"
+                f" edges {len(before._ranked())} -> {len(r.output._ranked())}"
                 f" merges {len(r.merge_log)}",
                 file=sys.stderr,
             )

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ModelError, ParseError, SchemaError
@@ -25,6 +24,7 @@ from .model import (
     Heap,
     Layout,
     NodeEdge,
+    RankedCore,
     TreeEdge,
     VarEdge,
     _tokens_ok,
@@ -126,6 +126,19 @@ def _refuse_edge(row, path: str, kind: type, layout: Layout, firsts: dict, nodes
     raise _bad_label(row[2], path)  # only a tree row's label is left
 
 
+def _row_keys(rows: list, arity: int, firsts: dict, rank: dict):
+    """The keys of edge rows, ids ranked by ``firsts`` then ``rank``; None for a bad row."""
+    n = len(rank)
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {arity}:
+        try:
+            if arity == 2:
+                return [firsts[a] * n + rank[b] for a, b in rows]
+            return [(rank[a] * n + rank[b]) * 2 + ("l", "r").index(t) for a, b, t in rows]
+        except (KeyError, TypeError, ValueError):  # an undeclared or unhashable id; a bad label
+            pass
+    return None
+
+
 def _parse_component(doc, path: str) -> Component:
     obj = _require_object(doc, path, _HEAP_KEYS)
 
@@ -139,9 +152,10 @@ def _parse_component(doc, path: str) -> Component:
             "UnknownLayout", f"unknown layout {layout_name!r}", f"{path}.layout"
         ) from None
 
-    variables = {v: v for v in _parse_id_list(obj["variables"], f"{path}.variables")}
-    nodes = {n: n for n in _parse_id_list(obj["nodes"], f"{path}.nodes")}
-    overlap = variables.keys() & nodes.keys()
+    variables = sorted(_parse_id_list(obj["variables"], f"{path}.variables"))
+    ids = sorted(_parse_id_list(obj["nodes"], f"{path}.nodes"))
+    var_rank, rank = dict(zip(variables, range(len(variables)))), dict(zip(ids, range(len(ids))))
+    overlap = var_rank.keys() & rank.keys()
     if overlap:
         raise ModelError(
             "IdClash",
@@ -149,27 +163,28 @@ def _parse_component(doc, path: str) -> Component:
             path,
         )
 
-    # A row between declared ids (which are tokens, so membership proves
-    # the token) becomes its edge, its ids swapped for the declared id
-    # objects so that each id is held once; any other row is refused with
-    # the error and location that name what is wrong with it.
+    # Rows between declared ids (which are tokens, so membership proves
+    # the token) become keys over the ids' ranks, and repeated rows
+    # collapse; the first row that is not one is refused with the error
+    # and location that name what is wrong with it.
     tree = layout is Layout.T
-    edges: set = set()
-    for key, kind, arity, firsts in (
-        ("var_edges", VarEdge, 2, variables),
-        ("node_edges", TreeEdge if tree else NodeEdge, 3 if tree else 2, nodes),
+    keys: list = [[], [], []]  # node, tree and variable edges, as in RankedCore
+    for key, kind, arity, firsts, slot in (
+        ("var_edges", VarEdge, 2, var_rank, 2),
+        ("node_edges", TreeEdge if tree else NodeEdge, 3 if tree else 2, rank, int(tree)),
     ):
-        for i, row in enumerate(_require_list(obj[key], f"{path}.{key}")):
-            try:
-                if type(row) is list and len(row) == arity:
-                    row[0], row[1] = firsts[row[0]], nodes[row[1]]
-                    edges.add(kind(*row))
-                    continue
-            except (KeyError, TypeError, ValueError):  # an undeclared or unhashable id; a bad label
-                pass
-            _refuse_edge(row, f"{path}.{key}[{i}]", kind, layout, firsts, nodes)
-
-    return Component(layout, variables, nodes, edges)
+        rows, converted = _require_list(obj[key], f"{path}.{key}"), []
+        while rows:  # a block at a time from the end, each dropped once converted
+            block = rows[-_CHUNK:]
+            del rows[-_CHUNK:]
+            block_keys = _row_keys(block, arity, firsts, rank)
+            if block_keys is None:  # every row after the block is good
+                for i, row in enumerate(rows + block):
+                    if _row_keys([row], arity, firsts, rank) is None:
+                        _refuse_edge(row, f"{path}.{key}[{i}]", kind, layout, firsts, rank)
+            converted += block_keys
+        keys[slot] = sorted(dict.fromkeys(converted))
+    return Component._from_core(layout, variables, ids, RankedCore(ids, variables, tuple(keys)))
 
 
 def parse_heap(text: str) -> Heap:
@@ -234,27 +249,37 @@ def _put_array(out: list, texts, depth: int, brackets: str = "[]"):
     out.append(_INDENT[depth] + brackets[1] if opening is sep else brackets)
 
 
+def _edge_texts(core: RankedCore, names: list, var_names: list, heads: tuple, sep: str, end: str):
+    """Per kind of ``core.keys``, each edge's text: its kind's head, its fields (the
+    ``names`` or ``var_names`` of its ranks) joined by ``sep``, then ``end``."""
+    (node_keys, tree_keys, var_keys), n = core.keys, len(core.ids)
+    node, tree, var = heads
+    labels = [f'{sep}"l"{end}', f'{sep}"r"{end}']
+    return (
+        (f"{node}{names[k // n]}{sep}{names[k % n]}{end}" for k in node_keys),
+        (f"{tree}{names[k // 2 // n]}{sep}{names[k // 2 % n]}{labels[k % 2]}" for k in tree_keys),
+        (f"{var}{var_names[k // n]}{sep}{names[k % n]}{end}" for k in var_keys),
+    )
+
+
 def _put_component(out: list, c: Component):
     # A component is an item of the components array, at depth 2.  An
-    # edge's heap-document row is the edge without its kind tag.  Kind
-    # tags sort "node" < "tree" < "var", so variable edges sort last.
-    edges = sorted(c.edges)
-    first_var = bisect_left(edges, ("var",))
-    opening, sep, close = "[" + _INDENT[5], "," + _INDENT[5], _INDENT[4] + "]"
-
-    def rows(start, stop):
-        return (opening + sep.join(map(_quote, e[1:])) + close for e in islice(edges, start, stop))
-
+    # edge's heap-document row is the edge without its kind tag.
+    core = c._ranked()
+    names, var_names = list(map(_quote, core.ids)), list(map(_quote, core.vars))
+    heads, sep, end = ("[" + _INDENT[5],) * 3, "," + _INDENT[5], _INDENT[4] + "]"
+    node_rows, tree_rows, var_rows = _edge_texts(core, names, var_names, heads, sep, end)
     member = "," + _INDENT[3]
     out.append("{" + _INDENT[3] + '"layout": ' + _quote(c.layout.value))
     out.append(member + '"variables": ')
     yield from _put_array(out, map(_quote, sorted(c.vars)), 3)
-    out.append(member + '"nodes": ')
-    yield from _put_array(out, map(_quote, sorted(c.nodes)), 3)
+    out.append(member + '"nodes": ')  # the core also ranks any undeclared endpoint
+    nodes = map(_quote, sorted(c.nodes)) if len(names) > len(c.nodes) else names
+    yield from _put_array(out, nodes, 3)
     out.append(member + '"var_edges": ')
-    yield from _put_array(out, rows(first_var, None), 3)
+    yield from _put_array(out, var_rows, 3)
     out.append(member + '"node_edges": ')
-    yield from _put_array(out, rows(0, first_var), 3)
+    yield from _put_array(out, chain(node_rows, tree_rows), 3)
     out.append(_INDENT[2] + "}")
 
 
@@ -293,7 +318,8 @@ def _witness_from_doc(doc, path: str) -> Witness:
 
     node_map = {}
     for key, value in node_map_doc.items():
-        kpath = f"{path}.node_map.{key}"
+        # Escaped, a key that UTF-8 cannot carry can be named on any stream.
+        kpath = f"{path}.node_map." + key.encode("utf-8", "backslashreplace").decode("utf-8")
         src_id = _parse_token(key, kpath)
         node_map[src_id] = _parse_token(value, kpath)
 
@@ -321,34 +347,25 @@ def _put_witness(out: list, w: Witness):
     yield from _put_array(out, (quoted[k] + ": " + images[k] for k in keys), 3, "{}")
     out.append("," + _INDENT[3] + '"edge_map": ')
     # Each entry is a [source edge, image edge] pair; an edge is its own
-    # array, and source edges are distinct, so the entries sort by source edge.
+    # array, and source edges are distinct, so the entries come in the
+    # canonical order of their source edges: the key order of their core.
     edge, field = _INDENT[5], _INDENT[6]
     sep = "," + field
     opening, middle = "[" + edge + "[" + field, edge + "]," + edge + "[" + field
     close = edge + "]" + _INDENT[4] + "]"
-    heads = {kind: _quote(kind) + sep for kind in ("node", "tree", "var")}
-    labels = {"l": sep + '"l"', "r": sep + '"r"'}
-
-    def pairs():
-        for e in sorted(edge_map):
-            source, image = sep.join(map(_quote, e)), sep.join(map(_quote, edge_map[e]))
-            yield opening + source + middle + image + close
-
-    def forced_pairs():
-        # A produced witness: each image is the edge between its ends' images.
-        for e in sorted(edge_map):
-            kind, a, b = e[0], e[1], e[2]
-            head, tail = heads[kind], labels[e[3]] if kind == "tree" else ""
-            if kind == "var":
-                head += _quote(a) + sep
-                source, image = head + quoted[b], head + images[b]
-            else:
-                source = head + quoted[a] + sep + quoted[b]
-                image = head + images[a] + sep + images[b]
-            yield opening + source + tail + middle + image + tail + close
-
-    derived = type(edge_map) is EdgeImages and edge_map.node_map is node_map
-    yield from _put_array(out, forced_pairs() if derived else pairs(), 3)
+    forced = type(edge_map) is EdgeImages
+    core = edge_map.component._ranked() if forced else RankedCore.from_edges((), (), edge_map)
+    names = [quoted.get(n) or _quote(n) for n in core.ids]
+    var_names = list(map(_quote, core.vars))
+    tags = [_quote(kind) + sep for kind in ("node", "tree", "var")]
+    sources = _edge_texts(core, names, var_names, [opening + t for t in tags], sep, "")
+    if forced:  # each image is the edge between its ends' images
+        names = [_quote(edge_map.node_map[n]) for n in core.ids]
+        heads = [middle + t for t in tags]
+        targets = chain(*_edge_texts(core, names, var_names, heads, sep, close))
+    else:
+        targets = (middle + sep.join(map(_quote, edge_map[e])) + close for e in core.edges())
+    yield from _put_array(out, map(str.__add__, chain(*sources), targets), 3)
     out.append(_INDENT[2] + "}")
 
 
@@ -394,7 +411,7 @@ def export_dot(h: Heap, name: str = "heap") -> str:
             lines.append(f"    {_dot_id(v)} [shape=circle];")
         for n in sorted(comp.nodes):
             lines.append(f"    {_dot_id(n)} [shape=oval];")
-        for e in sorted(comp.edges):
+        for e in comp._ranked().edges():
             label = f' [label="{e[3]}"]' if len(e) == 4 else ""
             lines.append(f"    {_dot_id(e[1])} -> {_dot_id(e[2])}{label};")
         lines.append("  }")

@@ -10,8 +10,8 @@ ones (nodes stand for merged regions); concreteness is a usage convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -113,8 +113,94 @@ def _tokens_ok(ids) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Component:
+_setattr = object.__setattr__
+
+
+class Value:
+    """Immutable record whose ``_fields`` give equality (within one class),
+    hashing, ``repr``, ``copy`` and ``pickle``; assignment is refused."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class RankedCore:
+    """A component's edges as sorted int keys over ranks.
+
+    A node's rank (a variable's index) is its position in the sorted
+    ``ids`` (``vars``).  With n = len(ids), ``keys`` holds three sorted,
+    repeat-free lists, which in turn give the canonical edge order: node
+    edges a->b as ``a * n + b``, labeled ones as ``(a * n + b) * 2`` plus
+    0 for "l" or 1 for "r", and variable edges v->b as ``v * n + b``.  A
+    core built from an edge set ranks every id its edges name.
+    """
+
+    __slots__ = ("ids", "vars", "keys")
+
+    def __init__(self, ids: list, vars: list, keys: tuple):
+        self.ids, self.vars, self.keys = ids, vars, keys
+
+    @classmethod
+    def from_edges(cls, nodes, vars, edges) -> RankedCore:
+        ids = sorted({*nodes, *(x for e in edges for x in e.ends)})
+        var_ids = sorted({*vars, *(e[1] for e in edges if type(e) is VarEdge)})
+        rank, var_rank = dict(zip(ids, range(len(ids)))), dict(zip(var_ids, range(len(var_ids))))
+        keys: dict = {NodeEdge: [], TreeEdge: [], VarEdge: []}
+        for e in edges:
+            key = (var_rank if type(e) is VarEdge else rank)[e[1]] * len(ids) + rank[e[2]]
+            keys[type(e)].append(key * 2 + (e[3] == "r") if type(e) is TreeEdge else key)
+        return cls(ids, var_ids, tuple(map(sorted, keys.values())))
+
+    def __len__(self) -> int:
+        return sum(map(len, self.keys))
+
+    def decode(self, kind: int, keys) -> list:
+        """The edges of ``keys``, taken from ``self.keys[kind]``."""
+        ids, n = self.ids, len(self.ids)
+        if kind == 0:
+            return [NodeEdge(ids[k // n], ids[k % n]) for k in keys]
+        if kind == 1:
+            return [TreeEdge(ids[k // 2 // n], ids[k // 2 % n], "lr"[k % 2]) for k in keys]
+        return [VarEdge(self.vars[k // n], ids[k % n]) for k in keys]
+
+    def edges(self):
+        """Every edge, in canonical (``sorted()``) order."""
+        return chain.from_iterable(map(self.decode, range(3), self.keys))
+
+    def mapped(self, image: list, var_image, m: int) -> tuple:
+        """The keys of the edges' images, unsorted, when rank r maps to rank
+        ``image[r]`` and variable v to ``var_image[v]`` of a rank space of m."""
+        (node_keys, tree_keys, var_keys), n = self.keys, len(self.ids)
+        return (
+            [image[k // n] * m + image[k % n] for k in node_keys],
+            [(image[k // 2 // n] * m + image[k // 2 % n]) * 2 + k % 2 for k in tree_keys],
+            [var_image[k // n] * m + image[k % n] for k in var_keys],
+        )
+
+
+class Component(Value):
     """One labeled directed graph with a layout tag.
 
     Construction is permissive about graph shape (undeclared endpoints,
@@ -123,17 +209,30 @@ class Component:
     be represented and diagnosed.  Identifier tokens and the separation of
     the variable and node namespaces are enforced eagerly because nothing
     downstream can cope without them.
+
+    A parsed or abstracted component holds a :class:`RankedCore` and
+    builds ``edges`` when first read; one built from ``edges`` builds its
+    core when first needed.
     """
 
-    layout: Layout
-    vars: frozenset = frozenset()
-    nodes: frozenset = frozenset()
-    edges: frozenset = frozenset()
+    _fields = ("layout", "vars", "nodes", "edges")
+    __slots__ = ("layout", "vars", "nodes", "_edges", "_core")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", frozenset(self.vars))
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+    def __init__(self, layout: Layout, vars=frozenset(), nodes=frozenset(), edges=frozenset()):
+        for name, value in zip(self.__slots__, (layout, vars, nodes, frozenset(edges), None)):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _from_core(cls, layout: Layout, vars, nodes, core: RankedCore) -> Component:
+        c = cls(layout, vars, nodes)
+        _setattr(c, "_edges", None)
+        _setattr(c, "_core", core)
+        return c
+
+    def __post_init__(self):  # runs once per construction, which tests count by this name
+        _setattr(self, "vars", frozenset(self.vars))
+        _setattr(self, "nodes", frozenset(self.nodes))
         if not isinstance(self.layout, Layout):
             raise ValueError(f"layout must be a Layout, got {self.layout!r}")
         if not (_tokens_ok(self.vars) and _tokens_ok(self.nodes)):
@@ -144,6 +243,17 @@ class Component:
             raise ValueError(
                 f"identifiers used as both variable and node: {sorted(overlap)}"
             )
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            _setattr(self, "_edges", frozenset(self._core.edges()))
+        return self._edges
+
+    def _ranked(self) -> RankedCore:
+        if self._core is None:
+            _setattr(self, "_core", RankedCore.from_edges(self.nodes, self.vars, self._edges))
+        return self._core
 
     def var_edges(self) -> frozenset:
         return frozenset(e for e in self.edges if isinstance(e, VarEdge))
@@ -169,26 +279,27 @@ def first_id_clash(components) -> tuple | None:
     return None
 
 
-@dataclass(frozen=True)
-class Heap:
+class Heap(Value):
     """Ordered finite collection of disjoint components."""
 
-    components: tuple = ()
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, components: tuple = ()):
+        _setattr(self, "components", tuple(components))
         clash = first_id_clash(self.components)
         if clash:
             i, kind, ids = clash
             raise ValueError(f"{kind} ids reused across components (component {i}): {ids}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One well-formedness failure, with a stable machine-readable code."""
 
-    code: str
-    detail: str
+    __slots__ = _fields = ("code", "detail")
+
+    def __init__(self, code: str, detail: str):
+        _setattr(self, "code", code)
+        _setattr(self, "detail", detail)
 
 
 def _region_scan(c: Component, r: Iterable, inside: tuple) -> frozenset:
@@ -216,16 +327,19 @@ def edges_out(c: Component, r: Iterable) -> frozenset:
 
 
 class ComponentIndex:
-    """Adjacency of one component over node ranks, built in one pass over its edges.
+    """Adjacency of one component over node ranks, built from its ranked core.
 
     Validation, classification and abstraction all read the same index,
     so a component is scanned once however many of them run.  It is not
     cached on the component: build it for one component and drop it when
     that component is done.
 
-    ``ids`` lists the node ids in sorted order and ``rank`` maps each id
-    to its position there, so rank order is id order and every tie-break
-    compares ints.  All other fields are lists indexed by rank.  Pointer
+    ``core`` is the component's ranked core (when an edge names an
+    undeclared id, that of the edges between declared ids); ``ids`` lists
+    its node ids in sorted order and ``rank`` maps each id to its position
+    there, so rank order is id order and every tie-break compares ints.
+    ``out``, ``tags``, ``into``, ``loops`` and ``pointed`` are lists
+    indexed by rank.  Pointer
     edges between distinct nodes are kept once by source and once by
     target: ``out[r]`` holds the ranks of r's successors and ``tags[r]``,
     in parallel, each edge's label as read ("l", "r", or "" when unlabeled);
@@ -241,34 +355,31 @@ class ComponentIndex:
 
     def __init__(self, c: Component):
         self.component = c
-        self.ids = ids = sorted(c.nodes)
-        self.rank = rank = {n: r for r, n in enumerate(ids)}
-        size = len(ids)
-        self.out = out = [[] for _ in range(size)]
-        self.tags = tags = [[] for _ in range(size)]
-        self.into = into = [[] for _ in range(size)]
-        self.loops = loops = [()] * size
-        self.pointed = pointed = [()] * size
-        self.undeclared = []
-        self.mismatched = []
+        core = c._ranked()
         tree = c.layout is Layout.T
-        for e in c.edges:
-            kind = type(e)
-            if kind is VarEdge:
-                target = rank.get(e[2])
-                if target is not None:
-                    pointed[target] += (e[1],)
-                if target is None or e[1] not in c.vars:
-                    self.undeclared.append(e)
-                continue
-            if (kind is TreeEdge) is not tree:
-                self.mismatched.append(e)
-            try:
-                src, dst = rank[e[1]], rank[e[2]]
-            except KeyError:
-                self.undeclared.append(e)
-                continue
-            tag = e[3] if kind is TreeEdge else ""
+        self.mismatched, self.undeclared = [], []
+        if core.keys[0 if tree else 1]:  # an edge of a kind the layout does not take
+            self.mismatched = [e for e in c.node_edges() if (type(e) is TreeEdge) is not tree]
+        if len(core.ids) > len(c.nodes) or len(core.vars) > len(c.vars):  # an undeclared id
+            ok = {e for e in c.edges if c.nodes.issuperset(e.ends)}
+            bad_var = [e for e in ok if type(e) is VarEdge and e.var not in c.vars]
+            self.undeclared = [e for e in c.edges if e not in ok] + bad_var
+            core = RankedCore.from_edges(c.nodes, c.vars, ok)
+        self.core = core
+        self.ids = ids = core.ids
+        self.rank = dict(zip(ids, range(len(ids))))
+        n = len(ids)
+        node_keys, tree_keys, var_keys = core.keys
+        self.pointed = pointed = [()] * n
+        for k in var_keys:
+            pointed[k % n] += (core.vars[k // n],)
+        self.out = out = [[] for _ in range(n)]
+        self.tags = tags = [[] for _ in range(n)]
+        self.into = into = [[] for _ in range(n)]
+        self.loops = loops = [()] * n
+        pairs = node_keys + [k // 2 for k in tree_keys]  # keys a * n + b, then their tags
+        for p, tag in zip(pairs, [""] * len(node_keys) + ["lr"[k % 2] for k in tree_keys]):
+            src, dst = divmod(p, n)
             if src == dst:
                 loops[src] += (tag,)
             else:
@@ -277,8 +388,8 @@ class ComponentIndex:
                 into[dst].append(src)
         # A self edge marks a collapsed region and never costs a node its
         # entry status; with no in-degree-0 node, variable targets serve.
-        self.entries = [r for r in range(size) if not into[r]] or [
-            r for r in range(size) if pointed[r]
+        self.entries = [r for r in range(n) if not into[r]] or [
+            r for r in range(n) if pointed[r]
         ]
         self.depths = self._bfs_depths() if c.layout in (Layout.SLL, Layout.T) else None
 

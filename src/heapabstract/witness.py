@@ -12,46 +12,57 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError, DomainMismatchError
-from .model import Component, ComponentIndex, Edge, VarEdge, Violation, _require_declared
+from .model import (
+    Component,
+    ComponentIndex,
+    Edge,
+    Value,
+    VarEdge,
+    Violation,
+    _require_declared,
+    _setattr,
+)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """Node map and edge map certifying one valid abstraction.
 
     Treat instances as immutable.  A witness read from a document holds
     two dicts; one the library produced holds an :class:`EdgeImages` view.
     """
 
-    node_map: dict
-    edge_map: Mapping
+    __slots__ = _fields = ("node_map", "edge_map")
+
+    def __init__(self, node_map: dict, edge_map: Mapping):
+        _setattr(self, "node_map", node_map)
+        _setattr(self, "edge_map", edge_map)
 
 
 class EdgeImages(Mapping):
     """Read-only edge map that a node map forces: ``[e]`` is ``e.image(node_map)``.
 
-    Its keys are ``edges``, so it stores no entry per edge; like any
+    Its keys are the edges of ``component``, so it stores no entry per
+    edge, and its length comes from the component's ranked core; like any
     mapping it compares equal to the dict with the same items.
     """
 
-    __slots__ = ("edges", "node_map")
+    __slots__ = ("component", "node_map")
 
-    def __init__(self, edges: frozenset, node_map: dict):
-        self.edges, self.node_map = edges, node_map
+    def __init__(self, component: Component, node_map: dict):
+        self.component, self.node_map = component, node_map
 
     def __getitem__(self, e: Edge) -> Edge:
-        if e not in self.edges:
+        if e not in self.component.edges:
             raise KeyError(e)
         return e.image(self.node_map)
 
     def __iter__(self):
-        return iter(self.edges)
+        return iter(self.component.edges)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.component._ranked())
 
 
 def check_valid_abstraction(source: Component, target: Component, w: Witness) -> list:
@@ -97,45 +108,45 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     for n in sorted(target.nodes - preimages.keys()):
         violations.append(Violation("NodeMapNotOnto", f"target node {n} uncovered"))
 
-    # Source edges are visited unsorted and only their findings sorted, by
-    # edge; the sort is stable, so one edge's findings keep their order.
-    findings: list = []
-
-    def finding(e: Edge, code: str, detail: str):
-        findings.append((e, Violation(code, detail)))
-
-    # A view over this node map and these source edges holds exactly the
-    # forced images, so comparing it with them would be vacuous.
+    # A view of the images that this node map forces on these source
+    # edges needs no comparison with them, and is checked on ranks.
     view = w.edge_map
     derived = (
-        isinstance(view, EdgeImages) and view.node_map is w.node_map and view.edges is source.edges
+        isinstance(view, EdgeImages) and view.node_map is w.node_map and view.component is source
     )
-    covered = set()
-    unmapped_edges = 0
-    for e in source.edges:
-        try:
-            forced = e.image(w.node_map)
-        except KeyError:  # an unmapped endpoint, reported as NodeMapNotTotal
-            forced = None
-        image = forced if derived else w.edge_map.get(e)
-        if image is None:
-            if not derived:
-                finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
-                unmapped_edges += 1
-            continue
-        if image is not forced and forced is not None and image != forced:
-            detail = f"edge {e} maps to {image}, node map forces {forced}"
-            finding(e, "EdgeMapIncompatible", detail)
-        covered.add(image)
-        if image not in target.edges:
-            finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
-    if len(w.edge_map) > len(source.edges) - unmapped_edges:  # it maps a non-source edge
-        for e in w.edge_map.keys() - source.edges:
-            finding(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge")
-    findings.sort(key=lambda f: f[0])
-    violations.extend(v for _, v in findings)
+    ranked = _ranked_edge_check(source, target, w.node_map) if derived else None
+    if ranked is not None:
+        findings, uncovered = ranked
+    else:  # source edges are visited unsorted and only their findings sorted (stably), by edge
+        findings, covered, unmapped_edges = [], set(), 0
 
-    for e in sorted(target.edges - covered):
+        def finding(e: Edge, code: str, detail: str):
+            findings.append((e, Violation(code, detail)))
+
+        for e in source.edges:
+            try:
+                forced = e.image(w.node_map)
+            except KeyError:  # an unmapped endpoint, reported as NodeMapNotTotal
+                forced = None
+            image = forced if derived else w.edge_map.get(e)
+            if image is None:
+                if not derived:
+                    finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
+                    unmapped_edges += 1
+                continue
+            if image is not forced and forced is not None and image != forced:
+                detail = f"edge {e} maps to {image}, node map forces {forced}"
+                finding(e, "EdgeMapIncompatible", detail)
+            covered.add(image)
+            if image not in target.edges:
+                finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
+        if len(w.edge_map) > len(source.edges) - unmapped_edges:  # it maps a non-source edge
+            for e in w.edge_map.keys() - source.edges:
+                finding(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge")
+        findings.sort(key=lambda f: f[0])
+        findings, uncovered = [v for _, v in findings], sorted(target.edges - covered)
+    violations.extend(findings)
+    for e in uncovered:
         if not isinstance(e, VarEdge) and e.src == e.dst and preimages[e.src] >= 2:
             continue
         violations.append(Violation("EdgeMapNotOnto", f"target edge {e} uncovered"))
@@ -143,10 +154,33 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     return violations
 
 
+def _ranked_edge_check(source: Component, target: Component, node_map: dict):
+    """Findings and uncovered target edges of the forced images, compared as int keys
+    over each component's own ranks; None when a source id maps to no target id."""
+    s_core, t_core = source._ranked(), target._ranked()
+    rank = dict(zip(t_core.ids, range(len(t_core.ids))))
+    var_rank = dict(zip(t_core.vars, range(len(t_core.vars))))
+    try:
+        image = [rank[node_map[n]] for n in s_core.ids]
+        var_image = [var_rank[v] for v in s_core.vars]
+    except KeyError:
+        return None
+    findings, uncovered = [], []
+    images = s_core.mapped(image, var_image, len(t_core.ids))
+    for kind, (keys, forced, have) in enumerate(zip(s_core.keys, images, t_core.keys)):
+        have_set, covered = set(have), set(forced)
+        missing = [k for k, f in zip(keys, forced) if f not in have_set]
+        for e in s_core.decode(kind, missing):
+            detail = f"image {e.image(node_map)} is not a target edge"
+            findings.append(Violation("ImageEdgeMissing", detail))
+        uncovered += t_core.decode(kind, [k for k in have if k not in covered])
+    return findings, uncovered
+
+
 def identity_witness(c: Component) -> Witness:
     """The witness by which every component abstracts itself."""
     node_map = {n: n for n in c.nodes}
-    return Witness(node_map, EdgeImages(c.edges, node_map))
+    return Witness(node_map, EdgeImages(c, node_map))
 
 
 def compose(w1: Witness, w2: Witness) -> Witness:
@@ -214,7 +248,7 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
 
     def accept():
         node_map = dict(assignment)
-        w = Witness(node_map, EdgeImages(source.edges, node_map))
+        w = Witness(node_map, EdgeImages(source, node_map))
         return None if check_valid_abstraction(source, target, w) else w
 
     # Depth-first over source nodes in order, one candidate iterator per

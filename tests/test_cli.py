@@ -1,5 +1,7 @@
 """Tests for the command-line front end and its exit-code contract."""
 
+import cProfile
+import io
 import json
 import os
 import random
@@ -13,7 +15,7 @@ import pytest
 import heapabstract
 from conftest import FIXTURE_DIR
 from genheaps import GENERATORS, comp, te, ve
-from heapabstract import Heap, Layout, serialize_heap
+from heapabstract import Heap, Layout, NodeEdge, TreeEdge, VarEdge, serialize_heap
 from heapabstract.cli import run
 
 FIG1 = str(FIXTURE_DIR / "fig1_sll.json")
@@ -68,11 +70,12 @@ class TestAbstract:
         # python -O strips.
         out = tmp_path / "out.json"
         script = (
-            "import dataclasses, sys\n"
-            "from heapabstract import Witness, cli\n"
+            "import sys\n"
+            "from heapabstract import AbstractionResult, Witness, cli\n"
             "real = cli.abstract_component\n"
             "def broken(c):\n"
-            "    return dataclasses.replace(real(c), witness=Witness({}, {}))\n"
+            "    r = real(c)\n"
+            "    return AbstractionResult(r.output, Witness({}, {}), r.merge_log)\n"
             "cli.abstract_component = broken\n"
             f"sys.exit(cli.run(['abstract', {FIG1!r}, '--out', {str(out)!r}]))\n"
         )
@@ -318,6 +321,56 @@ def test_lone_surrogate_id_is_an_input_error(command, artifacts, tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: BadToken at {location}: bad identifier token: ")
+
+
+def test_lone_surrogate_key_on_a_strict_stderr(artifacts, monkeypatch):
+    # The error names the bad node_map key in its location.  Written to a
+    # stderr that refuses surrogates, it must still be an input error, not
+    # an exception out of run().
+    out, wit = artifacts
+    doc = json.loads(wit.read_text(encoding="utf-8"))
+    doc["witnesses"][0]["node_map"]["\ud800"] = "h1"
+    wit.write_text(json.dumps(doc), encoding="utf-8")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run(["check-witness", FIG1, str(out), str(wit)]) == 2
+    stderr.seek(0)
+    location = "$.witnesses[0].node_map.\\ud800"
+    assert stderr.read().startswith(f"error: BadToken at {location}: bad identifier token: ")
+
+
+def test_abstract_builds_no_edge_objects(tmp_path):
+    # Parse, index, abstraction, check, stats and both writers work on
+    # ranked int keys; no Edge is made on the way.
+    rng = random.Random(4)
+    components = [
+        GENERATORS[layout](rng, max_nodes=40, prefix=f"k{i}x") for i, layout in enumerate(Layout)
+    ]
+    heap = tmp_path / "heap.json"
+    heap.write_text(serialize_heap(Heap(tuple(components))), encoding="utf-8")
+    argv = ["abstract", str(heap), "--out", str(tmp_path / "o.json"), "--stats"]
+    argv += ["--witness", str(tmp_path / "w.json")]
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        code = run(argv)
+    finally:
+        profiler.disable()
+    assert code == 0
+    constructors = {kind.__new__.__code__ for kind in (VarEdge, NodeEdge, TreeEdge)}
+    assert [e.callcount for e in profiler.getstats() if e.code in constructors] == []
+
+
+def test_cli_import_skips_dataclasses():
+    # The records are plain __slots__ classes, so importing the CLI does
+    # not pay for dataclasses (and the inspect module it loads).
+    script = "import sys\nimport heapabstract.cli\nprint('dataclasses' in sys.modules)\n"
+    src = str(Path(heapabstract.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_imports_only_the_standard_library():

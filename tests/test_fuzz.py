@@ -257,6 +257,25 @@ def test_edge_with_one_declared_endpoint_keeps_code_and_location(
 
 
 @pytest.mark.parametrize(
+    "layout, node_edges, code, location",
+    [
+        ("DAG", ["ab"], "WrongType", "node_edges[0]"),
+        ("SLL", [["a", "b"]] * 1500 + [["b", "zz"]] + [["a", "q"]] * 600,
+         "UnknownNode", "node_edges[1500]"),
+        ("DAG", [["a", "b"]] * 500 + [["a", 5]] + [["a", "b"]] * 2000,
+         "WrongType", "node_edges[500][1]"),
+        ("T", [["a", "b", "l"]] * 1100 + [["a", "b", "m"]], "BadLabel", "node_edges[1100]"),
+    ],
+)
+def test_first_bad_row_is_named_in_any_list(layout, node_edges, code, location):
+    # Rows are converted in blocks; a row that unpacks like an edge but is
+    # no list, and the first bad row of a long list, are still the ones named.
+    with pytest.raises(DocumentError) as exc:
+        parse_heap(_heap_doc(layout, [["x", "a"]], node_edges))
+    assert (exc.value.code, exc.value.location) == (code, f"$.components[0].{location}")
+
+
+@pytest.mark.parametrize(
     "nodes, code",
     [(["a", 1], "WrongType"), (["a", ["a"]], "WrongType"), (["a", True], "WrongType"),
      (["a", "a"], "DuplicateId"), (["a", "b c"], "BadToken"), (["a", "b\n"], "BadToken")],

@@ -15,17 +15,22 @@ from heapabstract import (
     Heap,
     Layout,
     LayoutMismatchError,
+    MergeEvent,
+    NodeClass,
     NodeEdge,
     TreeEdge,
     UnknownNodeError,
     UnreachableNodeError,
     VarEdge,
+    Violation,
     depth_map,
     edges_in,
     edges_out,
     entry_nodes,
     height,
+    parse_heap,
     region_edges,
+    serialize_heap,
     validate_component,
 )
 
@@ -83,6 +88,42 @@ class TestConstruction:
             Layout.SLL, frozenset(), frozenset({"a", "b"}), [ne("a", "b"), ne("a", "b")]
         )
         assert len(c.edges) == 1
+
+
+class TestRecords:
+    def test_parsed_and_hand_built_components_agree(self):
+        # A parsed component keeps its edges as ranked keys and builds the
+        # edge set when it is first read; a hand-built one starts from the
+        # set.  Equality, hashing, copies and pickles cannot tell them apart.
+        rng = random.Random(9)
+        for layout in Layout:
+            for _ in range(5):
+                built = random_component(rng, layout, max_nodes=12)
+                for reads in (False, True):
+                    parsed = parse_heap(serialize_heap(Heap((built,)))).components[0]
+                    if reads:
+                        assert parsed.edges == built.edges
+                    twins = [copy.copy(parsed), copy.deepcopy(parsed)]
+                    twins += [pickle.loads(pickle.dumps(parsed)), parsed]
+                    for twin in twins:
+                        assert type(twin) is Component
+                        assert twin == built and built == twin
+                        assert hash(twin) == hash(built)
+
+    def test_records_are_values_of_their_own_class(self):
+        v = Violation("Code", "detail")
+        assert v == Violation(code="Code", detail="detail")
+        assert v != MergeEvent("Code", "detail")
+        assert repr(v) == "Violation(code='Code', detail='detail')"
+        assert Heap() == Heap(components=()) and Component(Layout.SLL).edges == frozenset()
+        for record in (v, Heap(), NodeClass(()), MergeEvent("a", ("b",))):
+            assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+        with pytest.raises(AttributeError):
+            v.code = "Other"
+        with pytest.raises(AttributeError):
+            del v.detail
 
 
 class TestEdgeValues:

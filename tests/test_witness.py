@@ -216,6 +216,36 @@ class TestProducedEdgeMap:
         assert copy.edges is not fig1.edges
         assert check_valid_abstraction(copy, result.output, result.witness) == []
 
+    def test_view_of_a_redrawn_node_map_is_judged_as_its_dict(self):
+        # A view over its own node map and source is checked on ranked
+        # keys; the same images as a dict go edge by edge.  Redrawing a few
+        # images (including to unmapped or non-target ids) must give both
+        # the same findings.
+        rng = random.Random(11)
+        found = 0
+        for _ in range(400):
+            c = random_component(rng, rng.choice(list(Layout)), max_nodes=15)
+            result = abstract_component(c)
+            node_map = dict(result.witness.node_map)
+            for _ in range(rng.randint(1, 3)):
+                if node_map:
+                    key = rng.choice(sorted(node_map))
+                    choice = rng.choice([*sorted(result.output.nodes), "ghost", None])
+                    if choice is None:
+                        del node_map[key]
+                    else:
+                        node_map[key] = choice
+            view = Witness(node_map, EdgeImages(c, node_map))
+            images = {e: e.image(node_map) for e in c.edges if node_map.keys() >= set(e.ends)}
+            as_dict = Witness(node_map, images)
+            view_found = check_valid_abstraction(c, result.output, view)
+            assert view_found == [
+                v for v in check_valid_abstraction(c, result.output, as_dict)
+                if v.code != "EdgeMapNotTotal"
+            ]
+            found += bool(view_found)
+        assert found > 300
+
     def test_compose_of_views_equals_dict_composition(self):
         rng = random.Random(53)
         for layout in Layout:
