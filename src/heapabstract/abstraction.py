@@ -173,7 +173,8 @@ def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
         kept = [r for r, s in enumerate(survivor) if r == s]
         position = dict(zip(kept, range(len(kept))))
         image, m, tree = [position[s] for s in survivor], len(kept), c.layout is Layout.T
-        keys = core.mapped(image, range(len(core.vars)), m)
+        var_image = range(len(core.vars))  # variables keep their ranks
+        keys = [core.mapped(k, ks, image, var_image, m) for k, ks in enumerate(core.keys)]
         loops = {image[a] * (m + 1) for a, _ in log}  # into keys[1] in a tree, else keys[0]
         keys[tree].extend([k * 2 + label for k in loops for label in (0, 1)] if tree else loops)
         out = RankedCore([ids[r] for r in kept], core.vars, tuple(sorted(set(k)) for k in keys))

@@ -16,11 +16,11 @@ import json
 import re
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .errors import ModelError, ParseError, SchemaError
 from .model import (
     Component,
-    Edge,
     Heap,
     Layout,
     NodeEdge,
@@ -293,47 +293,54 @@ def serialize_heap(h: Heap) -> str:
     return "".join(_heap_chunks(h))
 
 
-_EDGE_KINDS = {("var", 3): VarEdge, ("node", 3): NodeEdge, ("tree", 4): TreeEdge}
-
-
-def _decode_edge(entry, path: str) -> Edge:
-    parts = _require_list(entry, path)
-    if not parts or not isinstance(parts[0], str):
-        raise SchemaError("UnknownEdgeKind", "edge must start with a kind tag", path)
-    kind = _EDGE_KINDS.get((parts[0], len(parts)))
-    if kind is None:
-        raise SchemaError("UnknownEdgeKind", f"unrecognized edge form {parts!r}", path)
-    ids = [_parse_token(parts[i], f"{path}[{i}]") for i in (1, 2)]
-    try:
-        return kind(*ids, *parts[3:])
-    except ValueError:  # a tree edge's label
-        raise _bad_label(parts[3], path) from None
-
-
 def _witness_from_doc(doc, path: str) -> Witness:
     obj = _require_object(doc, path, ("node_map", "edge_map"))
-    node_map_doc = obj["node_map"]
-    if not isinstance(node_map_doc, dict):
+    node_map = obj["node_map"]
+    if not isinstance(node_map, dict):
         raise SchemaError("WrongType", "expected an object", f"{path}.node_map")
+    if not (_tokens_ok(node_map) and _tokens_ok(node_map.values())):
+        for key, value in node_map.items():  # name the first bad entry
+            # Escaped, a key that UTF-8 cannot carry can be named on any stream.
+            kpath = f"{path}.node_map." + key.encode("utf-8", "backslashreplace").decode("utf-8")
+            _parse_token(key, kpath)
+            _parse_token(value, kpath)
 
-    node_map = {}
-    for key, value in node_map_doc.items():
-        # Escaped, a key that UTF-8 cannot carry can be named on any stream.
-        kpath = f"{path}.node_map." + key.encode("utf-8", "backslashreplace").decode("utf-8")
-        src_id = _parse_token(key, kpath)
-        node_map[src_id] = _parse_token(value, kpath)
-
-    edge_map = {}
-    for i, entry in enumerate(_require_list(obj["edge_map"], f"{path}.edge_map")):
-        epath = f"{path}.edge_map[{i}]"
-        pair = _require_list(entry, epath)
-        if len(pair) != 2:
-            raise SchemaError("WrongType", "edge map entry must be [edge, edge]", epath)
-        src_edge = _decode_edge(pair[0], f"{epath}[0]")
-        dst_edge = _decode_edge(pair[1], f"{epath}[1]")
-        if src_edge in edge_map:
-            raise SchemaError("DuplicateEdge", f"edge {pair[0]!r} mapped twice", epath)
-        edge_map[src_edge] = dst_edge
+    # An edge is its row, as a tuple of the row's kind.  A map of well-formed
+    # rows is read whole, each distinct id checked once; any other is read an
+    # entry at a time, each check in a fixed order, to name the first bad one.
+    entries = _require_list(obj["edge_map"], f"{path}.edge_map")
+    kinds = {("node", 3): NodeEdge, ("tree", 4): TreeEdge, ("var", 3): VarEdge}
+    shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+    edge_map: dict = {}
+    try:  # a row of no kind (KeyError), not a list, or with an unhashable field
+        rows = chain.from_iterable(entries) if shaped else ()
+        edges = [tuple.__new__(kinds[row[0], len(row)], row) for row in rows]
+        ids = set(map(itemgetter(1), edges)).union(map(itemgetter(2), edges))
+        labels = {e[3] for e in edges if type(e) is TreeEdge}
+        if labels <= {"l", "r"} and _tokens_ok(ids.difference(node_map, node_map.values())):
+            edge_map = dict(zip(edges[::2], edges[1::2]))
+    except (IndexError, KeyError, TypeError):
+        pass
+    if len(edge_map) < len(entries):  # a bad or a repeated entry
+        edge_map = {}
+        for i, entry in enumerate(entries):
+            epath = f"{path}.edge_map[{i}]"
+            if len(_require_list(entry, epath)) != 2:
+                raise SchemaError("WrongType", "edge map entry must be [edge, edge]", epath)
+            for j, row in enumerate(entry):
+                rpath = f"{epath}[{j}]"
+                if not _require_list(row, rpath) or not isinstance(row[0], str):
+                    raise SchemaError("UnknownEdgeKind", "edge must start with a kind tag", rpath)
+                if (row[0], len(row)) not in kinds:
+                    raise SchemaError("UnknownEdgeKind", f"unrecognized edge form {row!r}", rpath)
+                for k in (1, 2):
+                    _parse_token(row[k], f"{rpath}[{k}]")
+                if len(row) == 4 and row[3] not in ("l", "r"):
+                    raise _bad_label(row[3], rpath)
+            source, image = (tuple.__new__(kinds[row[0], len(row)], row) for row in entry)
+            if source in edge_map:
+                raise SchemaError("DuplicateEdge", f"edge {entry[0]!r} mapped twice", epath)
+            edge_map[source] = image
     return Witness(node_map, edge_map)
 
 

@@ -158,6 +158,7 @@ class RankedCore:
     """
 
     __slots__ = ("ids", "vars", "keys")
+    kinds = (NodeEdge, TreeEdge, VarEdge)  # the edge class of each list of keys
 
     def __init__(self, ids: list, vars: list, keys: tuple):
         self.ids, self.vars, self.keys = ids, vars, keys
@@ -167,11 +168,9 @@ class RankedCore:
         ids = sorted({*nodes, *(x for e in edges for x in e.ends)})
         var_ids = sorted({*vars, *(e[1] for e in edges if type(e) is VarEdge)})
         rank, var_rank = dict(zip(ids, range(len(ids)))), dict(zip(var_ids, range(len(var_ids))))
-        keys: dict = {NodeEdge: [], TreeEdge: [], VarEdge: []}
-        for e in edges:
-            key = (var_rank if type(e) is VarEdge else rank)[e[1]] * len(ids) + rank[e[2]]
-            keys[type(e)].append(key * 2 + (e[3] == "r") if type(e) is TreeEdge else key)
-        return cls(ids, var_ids, tuple(map(sorted, keys.values())))
+        by_kind = ([e for e in edges if type(e) is kind] for kind in cls.kinds)
+        keys = (edge_keys(k, es, rank, var_rank, len(ids)) for k, es in enumerate(by_kind))
+        return cls(ids, var_ids, tuple(map(sorted, keys)))
 
     def __len__(self) -> int:
         return sum(map(len, self.keys))
@@ -189,15 +188,25 @@ class RankedCore:
         """Every edge, in canonical (``sorted()``) order."""
         return chain.from_iterable(map(self.decode, range(3), self.keys))
 
-    def mapped(self, image: list, var_image, m: int) -> tuple:
-        """The keys of the edges' images, unsorted, when rank r maps to rank
-        ``image[r]`` and variable v to ``var_image[v]`` of a rank space of m."""
-        (node_keys, tree_keys, var_keys), n = self.keys, len(self.ids)
-        return (
-            [image[k // n] * m + image[k % n] for k in node_keys],
-            [(image[k // 2 // n] * m + image[k // 2 % n]) * 2 + k % 2 for k in tree_keys],
-            [var_image[k // n] * m + image[k % n] for k in var_keys],
-        )
+    def mapped(self, kind: int, keys, image, var_image, m: int) -> list:
+        """The keys of the images of ``keys`` (of kind ``kind``), in order, when rank
+        r maps to rank ``image[r]`` and variable v to ``var_image[v]`` of m ranks."""
+        n = len(self.ids)
+        if kind == 0:
+            return [image[k // n] * m + image[k % n] for k in keys]
+        if kind == 1:
+            return [(image[k // 2 // n] * m + image[k // 2 % n]) * 2 + k % 2 for k in keys]
+        return [var_image[k // n] * m + image[k % n] for k in keys]
+
+
+def edge_keys(kind: int, edges, rank: dict, var_rank: dict, n: int) -> list:
+    """The keys of ``edges``, all of kind ``kind``, over the ranks of n ids (as in
+    :class:`RankedCore`); a KeyError names an id that ``rank`` or ``var_rank`` lacks."""
+    if kind == 0:
+        return [rank[a] * n + rank[b] for _, a, b in edges]
+    if kind == 1:
+        return [(rank[a] * n + rank[b]) * 2 + (label == "r") for _, a, b, label in edges]
+    return [var_rank[v] * n + rank[b] for _, v, b in edges]
 
 
 class Component(Value):

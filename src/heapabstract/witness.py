@@ -12,18 +12,24 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Mapping
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 from .errors import BudgetExceededError, DomainMismatchError
 from .model import (
     Component,
     ComponentIndex,
     Edge,
+    RankedCore,
     Value,
     VarEdge,
     Violation,
     _require_declared,
     _setattr,
+    edge_keys,
 )
+
+_NO_IMAGE = object()  # what the extended ranks give as an unmapped node's image
 
 
 class Witness(Value):
@@ -108,43 +114,7 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     for n in sorted(target.nodes - preimages.keys()):
         violations.append(Violation("NodeMapNotOnto", f"target node {n} uncovered"))
 
-    # A view of the images that this node map forces on these source
-    # edges needs no comparison with them, and is checked on ranks.
-    view = w.edge_map
-    derived = (
-        isinstance(view, EdgeImages) and view.node_map is w.node_map and view.component is source
-    )
-    ranked = _ranked_edge_check(source, target, w.node_map) if derived else None
-    if ranked is not None:
-        findings, uncovered = ranked
-    else:  # source edges are visited unsorted and only their findings sorted (stably), by edge
-        findings, covered, unmapped_edges = [], set(), 0
-
-        def finding(e: Edge, code: str, detail: str):
-            findings.append((e, Violation(code, detail)))
-
-        for e in source.edges:
-            try:
-                forced = e.image(w.node_map)
-            except KeyError:  # an unmapped endpoint, reported as NodeMapNotTotal
-                forced = None
-            image = forced if derived else w.edge_map.get(e)
-            if image is None:
-                if not derived:
-                    finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
-                    unmapped_edges += 1
-                continue
-            if image is not forced and forced is not None and image != forced:
-                detail = f"edge {e} maps to {image}, node map forces {forced}"
-                finding(e, "EdgeMapIncompatible", detail)
-            covered.add(image)
-            if image not in target.edges:
-                finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
-        if len(w.edge_map) > len(source.edges) - unmapped_edges:  # it maps a non-source edge
-            for e in w.edge_map.keys() - source.edges:
-                finding(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge")
-        findings.sort(key=lambda f: f[0])
-        findings, uncovered = [v for _, v in findings], sorted(target.edges - covered)
+    findings, uncovered = _edge_findings(source, target, w.node_map, w.edge_map)
     violations.extend(findings)
     for e in uncovered:
         if not isinstance(e, VarEdge) and e.src == e.dst and preimages[e.src] >= 2:
@@ -154,27 +124,82 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     return violations
 
 
-def _ranked_edge_check(source: Component, target: Component, node_map: dict):
-    """Findings and uncovered target edges of the forced images, compared as int keys
-    over each component's own ranks; None when a source id maps to no target id."""
+def _edge_findings(source: Component, target: Component, node_map, edge_map) -> tuple:
+    """The edge map's findings by source edge, and the target edges its images leave uncovered.
+
+    Edges are int keys: source edges over the source's ranks, images over the
+    target's, extended by a rank for each other id they name (an unmapped
+    node's image among them), so that ids outside the target stay apart.
+    """
     s_core, t_core = source._ranked(), target._ranked()
-    rank = dict(zip(t_core.ids, range(len(t_core.ids))))
-    var_rank = dict(zip(t_core.vars, range(len(t_core.vars))))
-    try:
-        image = [rank[node_map[n]] for n in s_core.ids]
-        var_image = [var_rank[v] for v in s_core.vars]
-    except KeyError:
-        return None
-    findings, uncovered = [], []
-    images = s_core.mapped(image, var_image, len(t_core.ids))
-    for kind, (keys, forced, have) in enumerate(zip(s_core.keys, images, t_core.keys)):
-        have_set, covered = set(have), set(forced)
-        missing = [k for k, f in zip(keys, forced) if f not in have_set]
-        for e in s_core.decode(kind, missing):
-            detail = f"image {e.image(node_map)} is not a target edge"
-            findings.append(Violation("ImageEdgeMissing", detail))
-        uncovered += t_core.decode(kind, [k for k in have if k not in covered])
-    return findings, uncovered
+    view = isinstance(edge_map, EdgeImages) and edge_map.component is source
+    if view and edge_map.node_map is node_map:  # its images are the forced ones
+        found, blocks = [], [(k, k, keys, None) for k, keys in enumerate(s_core.keys)]
+    else:
+        found, blocks = _entries(source, edge_map)
+    ext, ext_vars = dict(zip(t_core.ids, count())), dict(zip(t_core.vars, count()))
+    # The node map's images, the source's variables and the ids the edge
+    # map's own images name; any that the target lacks is ranked after its own.
+    named = list(map(node_map.get, s_core.ids, repeat(_NO_IMAGE)))
+    named_ids = [(ext, named), (ext_vars, s_core.vars)] + [
+        (ext_vars if j == 2 and at == 1 else ext, set(map(itemgetter(at), images)))
+        for _, j, _, images in blocks if images for at in (1, 2)
+    ]
+    for ranks, ids in named_ids:
+        if not all(map(ranks.__contains__, ids)):
+            ranks.update(zip(set(ids).difference(ranks), count(len(ranks))))
+    image, var_image = list(map(ext.__getitem__, named)), [ext_vars[v] for v in s_core.vars]
+    m, size, have = len(t_core.ids), len(ext), t_core.keys
+    if size > m:  # the target's keys over the extended ranks
+        same = range(m), range(len(t_core.vars))
+        have = [t_core.mapped(k, keys, *same, size) for k, keys in enumerate(have)]
+    ext_core = RankedCore(list(ext), list(ext_vars), have)
+    present, covered = list(map(set, have)), [set(), set(), set()]
+    for k, j, keys, images in blocks:
+        forced = s_core.mapped(k, keys, image, var_image, size)
+        images = forced if images is None else edge_keys(j, images, ext, ext_vars, size)
+        wrong = images is not forced and (j != k or images != forced)
+        covered[j].update(images)
+        if not wrong and present[j].issuperset(images):
+            continue
+        for s, f, i in zip(keys, forced, images):
+            incompatible, missing = wrong and (i != f or j != k), i not in present[j]
+            if incompatible or missing:
+                e = s_core.decode(k, [s])[0]
+                (forced_edge,), (image_edge,) = ext_core.decode(k, [f]), ext_core.decode(j, [i])
+                if incompatible and _NO_IMAGE not in forced_edge.ends:
+                    detail = f"edge {e} maps to {image_edge}, node map forces {forced_edge}"
+                    found.append((e, "EdgeMapIncompatible", detail))
+                if missing and _NO_IMAGE not in image_edge.ends:
+                    detail = f"image {image_edge} is not a target edge"
+                    found.append((e, "ImageEdgeMissing", detail))
+    found.sort(key=itemgetter(0))  # stably, so an edge's findings keep their order
+    uncovered = (ext_core.decode(k, sorted(present[k] - covered[k])) for k in range(3))
+    return [Violation(code, detail) for _, code, detail in found], chain.from_iterable(uncovered)
+
+
+def _entries(source: Component, edge_map) -> tuple:
+    """The findings of an edge map that need no image (source edges it leaves
+    unmapped, and its edges that are not the source's), and blocks of
+    (source kind, image kind, source keys, image edges) for the rest."""
+    core, kinds, found, blocks = source._ranked(), RankedCore.kinds, [], []
+    for k, keys in enumerate(core.keys):
+        edges = core.decode(k, keys)
+        images = list(map(edge_map.get, edges))
+        types = set(map(type, images))
+        for j, kind in enumerate(kinds):
+            if types == {kind}:
+                blocks.append((k, j, keys, images))
+            elif kind in types:
+                picked = [x for x, i in enumerate(images) if type(i) is kind]
+                blocks.append((k, j, [keys[x] for x in picked], [images[x] for x in picked]))
+        if not types <= {*kinds}:  # entries without an edge as image
+            unmapped = [e for e, i in zip(edges, images) if type(i) not in kinds]
+            found += [(e, "EdgeMapNotTotal", f"edge {e} is unmapped") for e in unmapped]
+    if len(edge_map) > sum(len(keys) for _, _, keys, _ in blocks):  # it maps a non-source edge
+        unknown = edge_map.keys() - source.edges
+        found += [(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge") for e in unknown]
+    return found, blocks
 
 
 def identity_witness(c: Component) -> Witness:

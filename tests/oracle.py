@@ -10,12 +10,15 @@ witnesses and merge logs.
 The canonical serializers at the end are the library's original ones:
 build the document as dicts and lists, then ``json.dumps(doc, indent=2)``.
 They are the reference for the direct writers in ``heapabstract.formats``.
+
+The witness checker is the library's original edge-by-edge one, the
+reference for the checker on ranks in ``heapabstract.witness``.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from heapabstract import (
     Component,
@@ -28,6 +31,7 @@ from heapabstract import (
     TreeEdge,
     UnknownNodeError,
     VarEdge,
+    Violation,
     Witness,
     depth_map,
     edges_in,
@@ -35,6 +39,7 @@ from heapabstract import (
     height,
 )
 from heapabstract.model import _require_layout
+from heapabstract.witness import EdgeImages
 
 
 def _require_nodes(c: Component, *nodes: str):
@@ -329,3 +334,80 @@ def _witness_doc(w: Witness) -> dict:
 
 def serialize_witnesses(witnesses) -> str:
     return _dump({"witnesses": [_witness_doc(w) for w in witnesses]})
+
+
+def check_valid_abstraction(source: Component, target: Component, w: Witness) -> list:
+    """Every violation of ``w`` as a witness from ``source`` onto ``target``, edge by edge.
+
+    A view of the images that this node map forces on these source edges
+    is read as those images; any other edge map is read for its own.
+    """
+    violations: list = []
+
+    if source.layout is not target.layout:
+        violations.append(
+            Violation(
+                "LayoutMismatch",
+                f"source is {source.layout.value}, target is {target.layout.value}",
+            )
+        )
+    if source.vars != target.vars:
+        violations.append(
+            Violation(
+                "VariableSetMismatch",
+                f"source vars {sorted(source.vars)} != target vars {sorted(target.vars)}",
+            )
+        )
+
+    unmapped = source.nodes - w.node_map.keys()
+    for n in sorted(unmapped):
+        violations.append(Violation("NodeMapNotTotal", f"node {n} is unmapped"))
+    if len(w.node_map) > len(source.nodes) - len(unmapped):  # it maps a non-source node
+        for n in sorted(w.node_map.keys() - source.nodes):
+            violations.append(Violation("NodeMapDomainUnknown", f"node {n} is not a source node"))
+    preimages = Counter(w.node_map[n] for n in source.nodes if n in w.node_map)
+    for n in sorted(preimages.keys() - target.nodes):
+        violations.append(
+            Violation("NodeMapImageUnknown", f"image {n} is not a target node")
+        )
+    for n in sorted(target.nodes - preimages.keys()):
+        violations.append(Violation("NodeMapNotOnto", f"target node {n} uncovered"))
+
+    view = w.edge_map
+    derived = (
+        isinstance(view, EdgeImages) and view.node_map is w.node_map and view.component is source
+    )
+    # Source edges are visited unsorted and only their findings sorted (stably), by edge.
+    findings, covered, unmapped_edges = [], set(), 0
+
+    def finding(e, code: str, detail: str):
+        findings.append((e, Violation(code, detail)))
+
+    for e in source.edges:
+        try:
+            forced = e.image(w.node_map)
+        except KeyError:  # an unmapped endpoint, reported as NodeMapNotTotal
+            forced = None
+        image = forced if derived else w.edge_map.get(e)
+        if image is None:
+            if not derived:
+                finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
+                unmapped_edges += 1
+            continue
+        if image is not forced and forced is not None and image != forced:
+            detail = f"edge {e} maps to {image}, node map forces {forced}"
+            finding(e, "EdgeMapIncompatible", detail)
+        covered.add(image)
+        if image not in target.edges:
+            finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
+    if len(w.edge_map) > len(source.edges) - unmapped_edges:  # it maps a non-source edge
+        for e in w.edge_map.keys() - source.edges:
+            finding(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge")
+    findings.sort(key=lambda f: f[0])
+    violations.extend(v for _, v in findings)
+    for e in sorted(target.edges - covered):
+        if not isinstance(e, VarEdge) and e.src == e.dst and preimages[e.src] >= 2:
+            continue
+        violations.append(Violation("EdgeMapNotOnto", f"target edge {e} uncovered"))
+
+    return violations

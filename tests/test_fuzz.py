@@ -5,7 +5,8 @@ Any input, however malformed, must end in success or a ``DocumentError``
 another exception or exit 3.  Inputs are arbitrary JSON values and valid
 documents with one token, edge or label replaced.  Explicit cases pin the
 error code and location of edge rows that the parser's edge loop refuses,
-and so the order in which those rows are checked.
+and so the order in which those rows are checked, and of the first bad
+entry of a long witness document.
 """
 
 import contextlib
@@ -286,3 +287,42 @@ def test_bad_id_list_keeps_code_and_location(nodes, code):
     with pytest.raises(DocumentError) as exc:
         parse_heap(json.dumps(doc))
     assert (exc.value.code, exc.value.location) == (code, "$.components[0].nodes[1]")
+
+
+GOOD_ENTRIES = [[["node", f"n{i}", f"n{i + 1}"], ["node", "m", "m"]] for i in range(1100)]
+
+
+@pytest.mark.parametrize(
+    "node_map, entry, code, location",
+    [
+        ({}, [["node", "n0", "b c"], ["node", "m", "m"]], "BadToken", "edge_map[1100][0][2]"),
+        ({}, [["node", "n0", "n1"], ["var", "x y", "m"]], "BadToken", "edge_map[1100][1][1]"),
+        ({}, [["node", 5, "n1"], ["node", "m", "m"]], "WrongType", "edge_map[1100][0][1]"),
+        ({}, [["node", ["n0"], "n1"], ["node", "m", "m"]], "WrongType", "edge_map[1100][0][1]"),
+        ({}, [["node", "m", "m"], ["node", "m", {}]], "WrongType", "edge_map[1100][1][2]"),
+        ({}, [["edge", "n0", "n1"], ["node", "m", "m"]], "UnknownEdgeKind", "edge_map[1100][0]"),
+        ({}, [["node", "n0", "n1", "l"], ["node", "m", "m"]], "UnknownEdgeKind",
+         "edge_map[1100][0]"),
+        ({}, [[], ["node", "m", "m"]], "UnknownEdgeKind", "edge_map[1100][0]"),
+        ({}, [["tree", "n0", "n1", "m"], ["node", "m", "m"]], "BadLabel", "edge_map[1100][0]"),
+        ({}, [["node", "n0", "n1"], ["tree", "m", "m", ["l"]]], "BadLabel", "edge_map[1100][1]"),
+        ({}, GOOD_ENTRIES[3], "DuplicateEdge", "edge_map[1100]"),
+        ({}, [["node", "n0", "n1"]], "WrongType", "edge_map[1100]"),
+        ({}, "node", "WrongType", "edge_map[1100]"),
+        ({"zz": "b c"}, None, "BadToken", "node_map.zz"),
+        ({"zz": 5}, None, "WrongType", "node_map.zz"),
+        ({"zz": ["m"]}, None, "WrongType", "node_map.zz"),
+        ({"z z": "m"}, None, "BadToken", "node_map.z z"),
+    ],
+)
+def test_first_bad_witness_entry_is_named_in_any_list(node_map, entry, code, location):
+    # The bad entry follows more than a block of good ones, and another bad
+    # entry follows it; the first is the one named.
+    doc = {"node_map": {f"n{i}": "m" for i in range(1101)}, "edge_map": list(GOOD_ENTRIES)}
+    if entry is None:  # a bad node-map entry
+        doc["node_map"].update(node_map, later="b c")
+    else:
+        doc["edge_map"] += [entry, [["node", "n0", "x y"], ["node", "m", "m"]]]
+    with pytest.raises(DocumentError) as exc:
+        parse_witnesses(json.dumps({"witnesses": [doc]}))
+    assert (exc.value.code, exc.value.location) == (code, f"$.witnesses[0].{location}")

@@ -6,7 +6,8 @@ must the special/ordinary classification, on the fixtures, the golden
 file, the acceptance corpora, a corpus of larger components, and the
 re-abstraction of every output.  A second test counts how often one CLI
 run of ``abstract`` or ``classify`` builds indexes, validates, classifies
-and constructs components.
+and constructs components.  A third judges corrupted witnesses with the
+library's checker and with the oracle's edge-by-edge one.
 """
 
 import cProfile
@@ -21,14 +22,22 @@ from heapabstract import (
     Component,
     Heap,
     Layout,
+    NodeEdge,
+    TreeEdge,
+    VarEdge,
+    Witness,
     abstract_component,
+    check_valid_abstraction,
     node_classes,
     parse_heap,
+    parse_witnesses,
     serialize_heap,
+    serialize_witnesses,
     validate_component,
 )
 from heapabstract.cli import run
 from heapabstract.model import ComponentIndex
+from heapabstract.witness import EdgeImages
 
 ACCEPTANCE_SEEDS = {Layout.SLL: 101, Layout.T: 202, Layout.C: 303, Layout.DAG: 404}
 
@@ -205,3 +214,75 @@ def test_cli_abstract_indexes_validates_and_classifies_once(command, tmp_path):
         # The parsed components, plus the abstract ones that merged.
         Component.__post_init__: n + merged if command == "abstract" else n,
     }
+
+
+OUTSIDE = ("ghost", "ghost2")  # ids of no component
+
+
+def _random_edge(rng, nodes: list, variables: list):
+    # An edge of any kind between ``nodes`` (from ``variables``, for a variable edge).
+    a, b = rng.choice(nodes), rng.choice(nodes)
+    kind = rng.randrange(3)
+    if kind == 2 and variables:
+        return VarEdge(rng.choice(variables), b)
+    return TreeEdge(a, b, rng.choice("lr")) if kind == 1 else NodeEdge(a, b)
+
+
+def _corrupted(rng, c: Component):
+    """The target and witness of ``c``'s abstraction, corrupted at random."""
+    result = abstract_component(c)
+    target, node_map = result.output, dict(result.witness.node_map)
+    if rng.random() < 0.2 and target.edges:
+        dropped = rng.choice(sorted(target.edges))
+        target = Component(target.layout, target.vars, target.nodes, target.edges - {dropped})
+    images = [*sorted(target.nodes), *OUTSIDE]
+    for _ in range(rng.randint(0, 3)):
+        way = rng.randrange(3)
+        if way == 0 and node_map:  # redrawn, to a target id or an outside one
+            node_map[rng.choice(sorted(node_map))] = rng.choice(images)
+        elif way == 1 and node_map:  # deleted
+            del node_map[rng.choice(sorted(node_map))]
+        elif way == 2:  # a key that is no source node
+            node_map[rng.choice(["extra", *OUTSIDE])] = rng.choice(images)
+    if rng.random() < 0.25:
+        return target, Witness(node_map, EdgeImages(c, node_map))
+    if rng.random() < 0.5:
+        edge_map = dict(result.witness.edge_map)
+    else:  # the images the corrupted node map forces, where it maps both ends
+        edge_map = {e: e.image(node_map) for e in c.edges if node_map.keys() >= set(e.ends)}
+    sources = sorted(edge_map)
+    target_ids, target_vars = [*sorted(target.nodes), *OUTSIDE], sorted(target.vars) or ["x"]
+    for _ in range(rng.randint(0, 4)):
+        way = rng.randrange(4)
+        if way == 0 and sources:  # dropped
+            edge_map.pop(rng.choice(sources), None)
+        elif way == 1 and sources and target.edges:  # redrawn to a target edge of any kind
+            edge_map[rng.choice(sources)] = rng.choice(sorted(target.edges))
+        elif way == 2 and sources:  # redrawn to an edge of any kind, maybe at an outside id
+            edge_map[rng.choice(sources)] = _random_edge(rng, target_ids, target_vars)
+        elif way == 3:  # added, for an edge the source lacks
+            e = _random_edge(rng, [*sorted(c.nodes), *OUTSIDE], sorted(c.vars) or ["x"])
+            if e not in c.edges:
+                edge_map[e] = _random_edge(rng, target_ids, target_vars)
+    w = Witness(node_map, edge_map)
+    if rng.random() < 0.5:  # read back from its document
+        (w,) = parse_witnesses(serialize_witnesses([w]))
+    return target, w
+
+
+def test_witness_checker_matches_edge_by_edge_oracle():
+    # Views over redrawn node maps and edge maps of either origin, half of
+    # them read back from a document: the same findings, in the same order,
+    # with the same details.
+    rng = random.Random(606)
+    judged = flagged = 0
+    for layout in Layout:
+        for _ in range(300):
+            c = random_component(rng, layout, max_nodes=14)
+            target, w = _corrupted(rng, c)
+            found = check_valid_abstraction(c, target, w)
+            expected = oracle.check_valid_abstraction(c, target, w)
+            assert [(v.code, v.detail) for v in found] == [(v.code, v.detail) for v in expected]
+            judged += 1
+            flagged += bool(found)
+    assert judged >= 1000 and flagged > 0.8 * judged

@@ -217,10 +217,10 @@ class TestProducedEdgeMap:
         assert check_valid_abstraction(copy, result.output, result.witness) == []
 
     def test_view_of_a_redrawn_node_map_is_judged_as_its_dict(self):
-        # A view over its own node map and source is checked on ranked
-        # keys; the same images as a dict go edge by edge.  Redrawing a few
-        # images (including to unmapped or non-target ids) must give both
-        # the same findings.
+        # A view over its own node map and source is judged on the keys its
+        # node map forces; the same images as a dict are keyed one by one.
+        # Redrawing a few images (including to unmapped or non-target ids)
+        # must give both the same findings.
         rng = random.Random(11)
         found = 0
         for _ in range(400):
