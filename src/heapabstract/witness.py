@@ -130,6 +130,8 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
     Edges are int keys: source edges over the source's ranks, images over the
     target's, extended by a rank for each other id they name (an unmapped
     node's image among them), so that ids outside the target stay apart.
+    The edge map is judged in blocks of (source kind, image kind, source
+    keys, image edges), the images None where they are the forced ones.
     """
     s_core, t_core = source._ranked(), target._ranked()
     view = isinstance(edge_map, EdgeImages) and edge_map.component is source
