@@ -16,7 +16,6 @@ import json
 import re
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .errors import ModelError, ParseError, SchemaError
 from .model import (
@@ -305,42 +304,32 @@ def _witness_from_doc(doc, path: str) -> Witness:
             _parse_token(key, kpath)
             _parse_token(value, kpath)
 
-    # An edge is its row, as a tuple of the row's kind.  A map of well-formed
-    # rows is read whole, each distinct id checked once; any other is read an
-    # entry at a time, each check in a fixed order, to name the first bad one.
-    entries = _require_list(obj["edge_map"], f"{path}.edge_map")
+    # An edge is its row, as a tuple of the row's kind.  Each entry's checks
+    # run in a fixed order, so the first bad entry is named; a token is
+    # checked the first time its id is seen.
     kinds = {("node", 3): NodeEdge, ("tree", 4): TreeEdge, ("var", 3): VarEdge}
-    shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
-    edge_map: dict = {}
-    try:  # a row of no kind (KeyError), not a list, or with an unhashable field
-        rows = chain.from_iterable(entries) if shaped else ()
-        edges = [tuple.__new__(kinds[row[0], len(row)], row) for row in rows]
-        ids = set(map(itemgetter(1), edges)).union(map(itemgetter(2), edges))
-        labels = {e[3] for e in edges if type(e) is TreeEdge}
-        if labels <= {"l", "r"} and _tokens_ok(ids.difference(node_map, node_map.values())):
-            edge_map = dict(zip(edges[::2], edges[1::2]))
-    except (IndexError, KeyError, TypeError):
-        pass
-    if len(edge_map) < len(entries):  # a bad or a repeated entry
-        edge_map = {}
-        for i, entry in enumerate(entries):
-            epath = f"{path}.edge_map[{i}]"
-            if len(_require_list(entry, epath)) != 2:
-                raise SchemaError("WrongType", "edge map entry must be [edge, edge]", epath)
-            for j, row in enumerate(entry):
-                rpath = f"{epath}[{j}]"
-                if not _require_list(row, rpath) or not isinstance(row[0], str):
-                    raise SchemaError("UnknownEdgeKind", "edge must start with a kind tag", rpath)
-                if (row[0], len(row)) not in kinds:
-                    raise SchemaError("UnknownEdgeKind", f"unrecognized edge form {row!r}", rpath)
-                for k in (1, 2):
-                    _parse_token(row[k], f"{rpath}[{k}]")
-                if len(row) == 4 and row[3] not in ("l", "r"):
-                    raise _bad_label(row[3], rpath)
-            source, image = (tuple.__new__(kinds[row[0], len(row)], row) for row in entry)
-            if source in edge_map:
-                raise SchemaError("DuplicateEdge", f"edge {entry[0]!r} mapped twice", epath)
-            edge_map[source] = image
+    seen, edge_map = {*node_map, *node_map.values()}, {}
+    for i, entry in enumerate(_require_list(obj["edge_map"], f"{path}.edge_map")):
+        epath = f"{path}.edge_map[{i}]"
+        if len(_require_list(entry, epath)) != 2:
+            raise SchemaError("WrongType", "edge map entry must be [edge, edge]", epath)
+        edges = []
+        for j, row in enumerate(entry):
+            rpath = f"{epath}[{j}]"
+            if not _require_list(row, rpath) or not isinstance(row[0], str):
+                raise SchemaError("UnknownEdgeKind", "edge must start with a kind tag", rpath)
+            kind = kinds.get((row[0], len(row)))
+            if kind is None:
+                raise SchemaError("UnknownEdgeKind", f"unrecognized edge form {row!r}", rpath)
+            for k in (1, 2):
+                if type(row[k]) is not str or row[k] not in seen:
+                    seen.add(_parse_token(row[k], f"{rpath}[{k}]"))
+            if kind is TreeEdge and row[3] not in ("l", "r"):
+                raise _bad_label(row[3], rpath)
+            edges.append(tuple.__new__(kind, row))
+        if edges[0] in edge_map:
+            raise SchemaError("DuplicateEdge", f"edge {entry[0]!r} mapped twice", epath)
+        edge_map[edges[0]] = edges[1]
     return Witness(node_map, edge_map)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Mapping
-from itertools import chain, count, repeat
+from itertools import chain, count, filterfalse, repeat
 from operator import itemgetter
 
 from .errors import BudgetExceededError, DomainMismatchError
@@ -128,10 +128,10 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
     """The edge map's findings by source edge, and the target edges its images leave uncovered.
 
     Edges are int keys: source edges over the source's ranks, images over the
-    target's, extended by a rank for each other id they name (an unmapped
-    node's image among them), so that ids outside the target stay apart.
-    The edge map is judged in blocks of (source kind, image kind, source
-    keys, image edges), the images None where they are the forced ones.
+    target's, followed by one rank for each other id they name (``_NO_IMAGE``,
+    an unmapped node's image, among them), so ids outside the target stay
+    apart.  The edge map is judged in blocks of (source kind, image kind,
+    source keys, image edges), the images None where they are the forced ones.
     """
     s_core, t_core = source._ranked(), target._ranked()
     view = isinstance(edge_map, EdgeImages) and edge_map.component is source
@@ -139,17 +139,16 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
         found, blocks = [], [(k, k, keys, None) for k, keys in enumerate(s_core.keys)]
     else:
         found, blocks = _entries(source, edge_map)
-    ext, ext_vars = dict(zip(t_core.ids, count())), dict(zip(t_core.vars, count()))
-    # The node map's images, the source's variables and the ids the edge
-    # map's own images name; any that the target lacks is ranked after its own.
     named = list(map(node_map.get, s_core.ids, repeat(_NO_IMAGE)))
-    named_ids = [(ext, named), (ext_vars, s_core.vars)] + [
-        (ext_vars if j == 2 and at == 1 else ext, set(map(itemgetter(at), images)))
-        for _, j, _, images in blocks if images for at in (1, 2)
-    ]
-    for ranks, ids in named_ids:
-        if not all(map(ranks.__contains__, ids)):
-            ranks.update(zip(set(ids).difference(ranks), count(len(ranks))))
+    node_ids, var_ids = [named], [s_core.vars]
+    for _, j, _, images in blocks:
+        if images:
+            (var_ids if j == 2 else node_ids).append([e[1] for e in images])
+            node_ids.append([e[2] for e in images])
+    ext, ext_vars = dict(zip(t_core.ids, count())), dict(zip(t_core.vars, count()))
+    for ranks, ids in (ext, node_ids), (ext_vars, var_ids):
+        other = dict.fromkeys(filterfalse(ranks.__contains__, chain.from_iterable(ids)))
+        ranks.update(zip(other, count(len(ranks))))
     image, var_image = list(map(ext.__getitem__, named)), [ext_vars[v] for v in s_core.vars]
     m, size, have = len(t_core.ids), len(ext), t_core.keys
     if size > m:  # the target's keys over the extended ranks
@@ -160,12 +159,11 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
     for k, j, keys, images in blocks:
         forced = s_core.mapped(k, keys, image, var_image, size)
         images = forced if images is None else edge_keys(j, images, ext, ext_vars, size)
-        wrong = images is not forced and (j != k or images != forced)
         covered[j].update(images)
-        if not wrong and present[j].issuperset(images):
+        if images is forced and present[j].issuperset(images):
             continue
         for s, f, i in zip(keys, forced, images):
-            incompatible, missing = wrong and (i != f or j != k), i not in present[j]
+            incompatible, missing = i != f or j != k, i not in present[j]
             if incompatible or missing:
                 e = s_core.decode(k, [s])[0]
                 (forced_edge,), (image_edge,) = ext_core.decode(k, [f]), ext_core.decode(j, [i])
@@ -183,21 +181,20 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
 def _entries(source: Component, edge_map) -> tuple:
     """The findings of an edge map that need no image (source edges it leaves
     unmapped, and its edges that are not the source's), and blocks of
-    (source kind, image kind, source keys, image edges) for the rest."""
-    core, kinds, found, blocks = source._ranked(), RankedCore.kinds, [], []
+    (source kind, image kind, source keys, image edges) for the rest.  An
+    image that is neither None nor an edge raises a TypeError."""
+    core, found, blocks = source._ranked(), [], []
     for k, keys in enumerate(core.keys):
         edges = core.decode(k, keys)
         images = list(map(edge_map.get, edges))
-        types = set(map(type, images))
-        for j, kind in enumerate(kinds):
-            if types == {kind}:
-                blocks.append((k, j, keys, images))
-            elif kind in types:
-                picked = [x for x, i in enumerate(images) if type(i) is kind]
-                blocks.append((k, j, [keys[x] for x in picked], [images[x] for x in picked]))
-        if not types <= {*kinds}:  # entries without an edge as image
-            unmapped = [e for e, i in zip(edges, images) if type(i) not in kinds]
-            found += [(e, "EdgeMapNotTotal", f"edge {e} is unmapped") for e in unmapped]
+        for j, kind in enumerate(RankedCore.kinds):
+            picked = [x for x, i in enumerate(images) if type(i) is kind]
+            blocks.append((k, j, [keys[x] for x in picked], [images[x] for x in picked]))
+        for e, i in zip(edges, images):
+            if i is None:
+                found.append((e, "EdgeMapNotTotal", f"edge {e} is unmapped"))
+            elif type(i) not in RankedCore.kinds:
+                raise TypeError(f"edge {e} maps to {i!r}, which is not an edge")
     if len(edge_map) > sum(len(keys) for _, _, keys, _ in blocks):  # it maps a non-source edge
         unknown = edge_map.keys() - source.edges
         found += [(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge") for e in unknown]

@@ -286,3 +286,16 @@ def test_witness_checker_matches_edge_by_edge_oracle():
             judged += 1
             flagged += bool(found)
     assert judged >= 1000 and flagged > 0.8 * judged
+
+    # An image that is no edge: the reference judges any hashable value, so
+    # a plain tuple passes as the edge it equals and a string is a wrong,
+    # missing image that covers nothing; the library refuses both, naming
+    # the entry.
+    c = Component(Layout.SLL, {"x"}, {"a", "b"}, {VarEdge("x", "a"), NodeEdge("a", "b")})
+    node_map = {"a": "a", "b": "b"}
+    string_codes = ["EdgeMapIncompatible", "ImageEdgeMissing", "EdgeMapNotOnto"]
+    for odd, expected in ((("node", "a", "b"), []), ("a", string_codes)):
+        w = Witness(node_map, {VarEdge("x", "a"): VarEdge("x", "a"), NodeEdge("a", "b"): odd})
+        assert [v.code for v in oracle.check_valid_abstraction(c, c, w)] == expected
+        with pytest.raises(TypeError, match=r"edge \(a,b\) maps to .*, which is not an edge"):
+            check_valid_abstraction(c, c, w)
