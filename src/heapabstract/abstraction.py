@@ -42,14 +42,27 @@ class MergeEvent(Value):
 
 
 class AbstractionResult(Value):
-    """Output component, its witness, and the ordered merge log."""
+    """Output component, its witness, and the ordered merge log.  A produced
+    result keeps its log as (survivor, removed) ranks of ``_ids`` and builds
+    ``merge_log`` when it is first read."""
 
-    __slots__ = _fields = ("output", "witness", "merge_log")
+    _fields = ("output", "witness", "merge_log")
+    __slots__ = ("output", "witness", "_log", "_ranks")
 
-    def __init__(self, output: Component, witness: Witness, merge_log: tuple):
-        _setattr(self, "output", output)
-        _setattr(self, "witness", witness)
-        _setattr(self, "merge_log", merge_log)
+    def __init__(self, output: Component, witness: Witness, merge_log, *, _ids=None):
+        ranks = None if _ids is None else (_ids, merge_log)
+        for name, value in zip(self.__slots__, (output, witness, merge_log, ranks)):
+            _setattr(self, name, value)
+
+    @property
+    def merge_log(self) -> tuple:
+        ranks = self._ranks  # read once, so a concurrent first read builds the same log
+        if ranks is not None:
+            ids, log = ranks
+            log = (MergeEvent(ids[a], tuple(map(ids.__getitem__, r))) for a, r in log)
+            _setattr(self, "_log", tuple(log))
+            _setattr(self, "_ranks", None)
+        return self._log
 
 
 def _find(parent: dict, r: int) -> int:
@@ -82,7 +95,7 @@ def _merge_chain(index: ComponentIndex, ordinary: list) -> tuple:
     log = []
     for a in ordinary:
         b = None if a in parent else successor.get(a)
-        while b is not None and (b := _find(parent, b)) != a:
+        while b is not None and (b := _find(parent, b) if b in parent else b) != a:
             parent[b] = a
             log.append((a, (b,)))
             b = successor.get(b)
@@ -158,7 +171,6 @@ _MERGES = {
 
 def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
     c, core, ids = index.component, index.core, index.ids
-    events = tuple(MergeEvent(ids[a], tuple(map(ids.__getitem__, removed))) for a, removed in log)
     if log:
         # A node absorbs before it is absorbed, so in reverse each
         # absorber's survivor is final before its own entry is read.
@@ -181,7 +193,7 @@ def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
         output = Component._from_core(c.layout, c.vars, frozenset(out.ids), out)
     else:  # nothing merged: the output is the input
         node_map, output = dict(zip(ids, ids)), c
-    return AbstractionResult(output, Witness(node_map, EdgeImages(c, node_map)), events)
+    return AbstractionResult(output, Witness(node_map, EdgeImages(c, node_map)), log, _ids=ids)
 
 
 def abstract_component(c: Component) -> AbstractionResult:
@@ -196,7 +208,7 @@ def abstract_component(c: Component) -> AbstractionResult:
     if violations:
         raise InvalidComponentError(violations)
     log, budget = _MERGES[c.layout](index, ordinary_ranks(index))
-    if sum(len(removed) for _, removed in log) > budget:
+    if sum(map(len, [removed for _, removed in log])) > budget:
         raise InternalInvariantError(f"{c.layout.value} abstraction exceeded its merge bound")
     return _quotient(index, log)
 

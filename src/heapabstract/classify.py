@@ -128,7 +128,7 @@ def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
 
 def ordinary_ranks(index: ComponentIndex) -> list:
     """The ranks of the mergeable nodes, ascending (node_classes lists them in id order)."""
-    return [r for r, k in enumerate(node_classes(index.component, index).values()) if not k.special]
+    return [r for r, k in enumerate(node_classes(index.component, index).values()) if not k.reasons]
 
 
 def ordinary_nodes(c: Component) -> frozenset:
@@ -137,11 +137,16 @@ def ordinary_nodes(c: Component) -> frozenset:
     return frozenset(map(index.ids.__getitem__, ordinary_ranks(index)))
 
 
-def _neighbourhood(index: ComponentIndex, r: int) -> tuple:
-    # Predecessor and successor rank sets over node edges, a self edge
-    # making the node its own neighbour.
-    loop = (r,) if index.loops[r] else ()
-    return frozenset((*index.into[r], *loop)), frozenset((*index.out[r], *loop))
+def _neighbourhood(index: ComponentIndex, r: int):
+    # The similarity key: predecessor and successor ranks, which the index
+    # lists ascending and once each unless labeled edges (a mismatch in a
+    # DAG) are among them, then compared as sets.  A node with a self edge
+    # is its own neighbour, shared only across a 2-cycle: it keys on its rank.
+    if index.loops[r]:
+        return r
+    if index.mismatched:
+        return frozenset(index.into[r]), frozenset(index.out[r])
+    return tuple(index.into[r]), tuple(index.out[r])
 
 
 def reference_similar(c: Component, a: str, b: str) -> bool:
@@ -172,10 +177,10 @@ def reference_similar_set(c: Component, region: Iterable) -> bool:
     _require_declared(index)
     if len(members) < 2:
         return True
-    ranks = {index.rank[n] for n in members}
+    ranks = {r for r, n in enumerate(index.ids) if n in members}
     keys = {_neighbourhood(index, r) for r in ranks}
     # One shared neighbourhood that holds no member: no edge joins two members.
-    return len(keys) == 1 and ranks.isdisjoint(frozenset().union(*keys.pop()))
+    return len(keys) == 1 and all(map(ranks.isdisjoint, keys.pop()))
 
 
 def similarity_groups(index: ComponentIndex, ordinary) -> list:

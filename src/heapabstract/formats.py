@@ -248,36 +248,29 @@ def _put_array(out: list, texts, depth: int, brackets: str = "[]"):
     out.append(_INDENT[depth] + brackets[1] if opening is sep else brackets)
 
 
-def _edge_texts(core: RankedCore, names: list, var_names: list, heads: tuple, sep: str, end: str):
-    """Per kind of ``core.keys``, each edge's text: its kind's head, its fields (the
-    ``names`` or ``var_names`` of its ranks) joined by ``sep``, then ``end``."""
-    (node_keys, tree_keys, var_keys), n = core.keys, len(core.ids)
-    node, tree, var = heads
-    labels = [f'{sep}"l"{end}', f'{sep}"r"{end}']
-    return (
-        (f"{node}{names[k // n]}{sep}{names[k % n]}{end}" for k in node_keys),
-        (f"{tree}{names[k // 2 // n]}{sep}{names[k // 2 % n]}{labels[k % 2]}" for k in tree_keys),
-        (f"{var}{var_names[k // n]}{sep}{names[k % n]}{end}" for k in var_keys),
-    )
-
-
 def _put_component(out: list, c: Component):
     # A component is an item of the components array, at depth 2.  An
-    # edge's heap-document row is the edge without its kind tag.
+    # edge's heap-document row is the edge without its kind tag, its
+    # fields the quoted ids of its ranks.
     core = c._ranked()
+    (node_keys, tree_keys, var_keys), n = core.keys, len(core.ids)
     names, var_names = list(map(_quote, core.ids)), list(map(_quote, core.vars))
-    heads, sep, end = ("[" + _INDENT[5],) * 3, "," + _INDENT[5], _INDENT[4] + "]"
-    node_rows, tree_rows, var_rows = _edge_texts(core, names, var_names, heads, sep, end)
+    head, sep, end, m = "[" + _INDENT[5], "," + _INDENT[5], _INDENT[4] + "]", n * 2
+    labels = [f'{sep}"l"{end}', f'{sep}"r"{end}']
     member = "," + _INDENT[3]
     out.append("{" + _INDENT[3] + '"layout": ' + _quote(c.layout.value))
-    out.append(member + '"variables": ')
-    yield from _put_array(out, map(_quote, sorted(c.vars)), 3)
-    out.append(member + '"nodes": ')  # the core also ranks any undeclared endpoint
+    out.append(member + '"variables": ')  # the core also ranks any undeclared id
+    variables = map(_quote, sorted(c.vars)) if len(var_names) > len(c.vars) else var_names
+    yield from _put_array(out, variables, 3)
+    out.append(member + '"nodes": ')
     nodes = map(_quote, sorted(c.nodes)) if len(names) > len(c.nodes) else names
     yield from _put_array(out, nodes, 3)
     out.append(member + '"var_edges": ')
+    var_rows = (f"{head}{var_names[k // n]}{sep}{names[k % n]}{end}" for k in var_keys)
     yield from _put_array(out, var_rows, 3)
     out.append(member + '"node_edges": ')
+    node_rows = (f"{head}{names[k // n]}{sep}{names[k % n]}{end}" for k in node_keys)
+    tree_rows = (f"{head}{names[k // m]}{sep}{names[k % m // 2]}{labels[k % 2]}" for k in tree_keys)
     yield from _put_array(out, chain(node_rows, tree_rows), 3)
     out.append(_INDENT[2] + "}")
 
@@ -337,10 +330,11 @@ def _put_witness(out: list, w: Witness):
     # A witness is an item of the witnesses array, at depth 2.
     node_map, edge_map = w.node_map, w.edge_map
     keys = sorted(node_map)
-    quoted = {k: _quote(k) for k in keys}
-    images = {k: quoted.get(image) or _quote(image) for k, image in node_map.items()}
+    names = list(map(_quote, keys))
+    quoted = dict(zip(keys, names))
+    images = [quoted.get(i) or _quote(i) for i in map(node_map.__getitem__, keys)]
     out.append("{" + _INDENT[3] + '"node_map": ')
-    yield from _put_array(out, (quoted[k] + ": " + images[k] for k in keys), 3, "{}")
+    yield from _put_array(out, map("{}: {}".format, names, images), 3, "{}")
     out.append("," + _INDENT[3] + '"edge_map": ')
     # Each entry is a [source edge, image edge] pair; an edge is its own
     # array, and source edges are distinct, so the entries come in the
@@ -349,19 +343,41 @@ def _put_witness(out: list, w: Witness):
     sep = "," + field
     opening, middle = "[" + edge + "[" + field, edge + "]," + edge + "[" + field
     close = edge + "]" + _INDENT[4] + "]"
-    forced = type(edge_map) is EdgeImages
-    core = edge_map.component._ranked() if forced else RankedCore.from_edges((), (), edge_map)
-    names = [quoted.get(n) or _quote(n) for n in core.ids]
-    var_names = list(map(_quote, core.vars))
-    tags = [_quote(kind) + sep for kind in ("node", "tree", "var")]
-    sources = _edge_texts(core, names, var_names, [opening + t for t in tags], sep, "")
-    if forced:  # each image is the edge between its ends' images
-        names = [_quote(edge_map.node_map[n]) for n in core.ids]
-        heads = [middle + t for t in tags]
-        targets = chain(*_edge_texts(core, names, var_names, heads, sep, close))
+    if type(edge_map) is EdgeImages:
+        # Each image is the edge between its ends' images.  An entry is one
+        # format over the quoted names of the source edge's ranks and of
+        # their images, the node map's own when its keys are the core's ids.
+        core, view = edge_map.component._ranked(), edge_map.node_map
+        if core.ids != keys or view is not node_map:
+            names = [quoted.get(n) or _quote(n) for n in core.ids]
+            images = [quoted.get(i) or _quote(i) for i in map(view.__getitem__, core.ids)]
+        (node_keys, tree_keys, var_keys), n = core.keys, len(core.ids)
+        m = n * 2
+        var_names = list(map(_quote, core.vars))
+        node, tree, var = (_quote(kind) + sep for kind in ("node", "tree", "var"))
+        labels = [(f'{sep}"{label}"{middle}{tree}', f'{sep}"{label}"{close}') for label in "lr"]
+        node_rows = (
+            f"{opening}{node}{names[k // n]}{sep}{names[k % n]}{middle}{node}"
+            f"{images[k // n]}{sep}{images[k % n]}{close}"
+            for k in node_keys
+        )
+        tree_rows = (
+            f"{opening}{tree}{names[k // m]}{sep}{names[k % m // 2]}{labels[k % 2][0]}"
+            f"{images[k // m]}{sep}{images[k % m // 2]}{labels[k % 2][1]}"
+            for k in tree_keys
+        )
+        var_rows = (
+            f"{opening}{var}{var_names[k // n]}{sep}{names[k % n]}{middle}{var}"
+            f"{var_names[k // n]}{sep}{images[k % n]}{close}"
+            for k in var_keys
+        )
+        entries = chain(node_rows, tree_rows, var_rows)
     else:
-        targets = (middle + sep.join(map(_quote, edge_map[e])) + close for e in core.edges())
-    yield from _put_array(out, map(str.__add__, chain(*sources), targets), 3)
+        entries = (
+            opening + sep.join(map(_quote, e)) + middle + sep.join(map(_quote, edge_map[e])) + close
+            for e in RankedCore.from_edges((), (), edge_map).edges()
+        )
+    yield from _put_array(out, entries, 3)
     out.append(_INDENT[2] + "}")
 
 

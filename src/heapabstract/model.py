@@ -234,16 +234,20 @@ class Component(Value):
 
     @classmethod
     def _from_core(cls, layout: Layout, vars, nodes, core: RankedCore) -> Component:
-        c = cls(layout, vars, nodes)
-        _setattr(c, "_edges", None)
-        _setattr(c, "_core", core)
+        # Parse or a quotient proved the ids tokens, none both variable and node.
+        c = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (layout, vars, nodes, None, core)):
+            _setattr(c, name, value)
+        c.__post_init__(checked=True)
         return c
 
-    def __post_init__(self):  # runs once per construction, which tests count by this name
+    def __post_init__(self, checked: bool = False):  # once per construction; tests count it
         _setattr(self, "vars", frozenset(self.vars))
         _setattr(self, "nodes", frozenset(self.nodes))
         if not isinstance(self.layout, Layout):
             raise ValueError(f"layout must be a Layout, got {self.layout!r}")
+        if checked:
+            return
         if not (_tokens_ok(self.vars) and _tokens_ok(self.nodes)):
             bad = next(i for i in (*self.vars, *self.nodes) if not _tokens_ok((i,)))
             raise ValueError(f"bad identifier token: {bad!r}")
@@ -345,8 +349,8 @@ class ComponentIndex:
 
     ``core`` is the component's ranked core (when an edge names an
     undeclared id, that of the edges between declared ids); ``ids`` lists
-    its node ids in sorted order and ``rank`` maps each id to its position
-    there, so rank order is id order and every tie-break compares ints.
+    its node ids in sorted order, and a node's rank is its position there,
+    so rank order is id order and every tie-break compares ints.
     ``out``, ``tags``, ``into``, ``loops`` and ``pointed`` are lists
     indexed by rank.  Pointer
     edges between distinct nodes are kept once by source and once by
@@ -376,7 +380,6 @@ class ComponentIndex:
             core = RankedCore.from_edges(c.nodes, c.vars, ok)
         self.core = core
         self.ids = ids = core.ids
-        self.rank = dict(zip(ids, range(len(ids))))
         n = len(ids)
         node_keys, tree_keys, var_keys = core.keys
         self.pointed = pointed = [()] * n

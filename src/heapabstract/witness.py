@@ -106,7 +106,7 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     if len(w.node_map) > len(source.nodes) - len(unmapped):  # it maps a non-source node
         for n in sorted(w.node_map.keys() - source.nodes):
             violations.append(Violation("NodeMapDomainUnknown", f"node {n} is not a source node"))
-    preimages = Counter(w.node_map[n] for n in source.nodes if n in w.node_map)
+    preimages = Counter(map(w.node_map.__getitem__, source.nodes - unmapped))
     for n in sorted(preimages.keys() - target.nodes):
         violations.append(
             Violation("NodeMapImageUnknown", f"image {n} is not a target node")
@@ -256,8 +256,9 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
 
     # Edges are checked as soon as their later endpoint gets assigned.
     edges_at: dict = {i: [] for i in range(len(src_nodes))}
+    rank = dict(zip(src_nodes, count()))
     for e in source.edges:
-        edges_at[max(source_index.rank[n] for n in e.ends)].append(e)
+        edges_at[max(map(rank.__getitem__, e.ends))].append(e)
 
     assignment: dict = {}
     use_count = {t: 0 for t in tgt_nodes}

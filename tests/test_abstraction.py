@@ -15,6 +15,7 @@ from genheaps import (
 )
 from oracle import remove_node, remove_nodes_tree
 from heapabstract import (
+    AbstractionResult,
     Heap,
     InvalidComponentError,
     Layout,
@@ -512,6 +513,30 @@ class TestHeapAbstract:
         results = heap_abstract_results(Heap((fig1,)))
         assert len(results) == 1
         assert len(results[0].merge_log) == 4
+
+    def test_merge_log_is_built_when_first_read(self, monkeypatch):
+        # A result keeps its log on ranks: abstracting a 2,000-node list
+        # builds no MergeEvent until merge_log is read.
+        ids = [f"n{i:04d}" for i in range(2000)]
+        edges = {ve("x", ids[0])} | {ne(a, b) for a, b in zip(ids, ids[1:])}
+        c = comp(Layout.SLL, {"x"}, ids, edges)
+        built = []
+        init = MergeEvent.__init__
+
+        def counted(self, survivor, removed):
+            built.append(survivor)
+            init(self, survivor, removed)
+
+        monkeypatch.setattr(MergeEvent, "__init__", counted)
+        r = abstract_component(c)
+        assert built == []
+        log = r.merge_log
+        assert len(built) == len(log) == 1998
+        assert r.merge_log is log  # built once
+        assert log == tuple(MergeEvent(ids[1], (b,)) for b in ids[2:])
+        eager = AbstractionResult(r.output, r.witness, r.merge_log)
+        assert eager.merge_log == log and eager == r
+        assert repr(eager) == repr(r)
 
 
 def test_exceeded_merge_bound_is_an_internal_invariant_error(fig1, monkeypatch):

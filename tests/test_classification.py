@@ -298,6 +298,24 @@ class TestRefSimilarDag:
         with pytest.raises(LayoutMismatchError):
             ref_similar_dag(fig1)
 
+    def test_summary_nodes_on_a_two_cycle_stay_apart(self):
+        # A cycle makes this no valid DAG, but the partition still holds
+        # only reference-similar groups: r and s, each with a self edge,
+        # share their neighbourhoods only through the edges joining them.
+        edges = {ne("r", "s"), ne("s", "r"), ne("r", "r"), ne("s", "s"), ne("t", "r"), ne("t", "s")}
+        c = comp(Layout.DAG, nodes={"r", "s", "t"}, edges=edges)
+        assert not reference_similar_set(c, {"r", "s"})
+        assert [sorted(g) for g in ref_similar_dag(c).groups] == [["r"], ["s"], ["t"]]
+
+    def test_labeled_edges_compare_as_sets(self):
+        # Labeled edges do not belong in a DAG, but similarity still reads
+        # them: a and b reach x and y, one plainly and one labeled each, so
+        # a and b share successors, and x and y predecessors, as sets.
+        edges = {ne("a", "x"), te("a", "y", "l"), ne("b", "y"), te("b", "x", "r")}
+        c = comp(Layout.DAG, nodes={"a", "b", "x", "y"}, edges=edges)
+        assert reference_similar(c, "a", "b") and reference_similar(c, "x", "y")
+        assert [sorted(g) for g in ref_similar_dag(c).groups] == [["a", "b"], ["x", "y"]]
+
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError):
             SimilarityPartition(({"a", "b"}, {"b", "c"}))

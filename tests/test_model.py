@@ -23,6 +23,7 @@ from heapabstract import (
     UnreachableNodeError,
     VarEdge,
     Violation,
+    abstract_component,
     depth_map,
     edges_in,
     edges_out,
@@ -116,8 +117,15 @@ class TestRecords:
         assert v != MergeEvent("Code", "detail")
         assert repr(v) == "Violation(code='Code', detail='detail')"
         assert Heap() == Heap(components=()) and Component(Layout.SLL).edges == frozenset()
-        for record in (v, Heap(), NodeClass(()), MergeEvent("a", ("b",))):
+        # A produced result builds its merge log when first read; copies
+        # and pickles of an unread one carry the same log.
+        sll = comp(Layout.SLL, {"x"}, {"a", "b", "c"}, {ve("x", "a"), ne("a", "b"), ne("b", "c")})
+        for twin in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            assert twin(abstract_component(sll)) == abstract_component(sll)
+        records = (v, Heap(), NodeClass(()), MergeEvent("a", ("b",)), abstract_component(sll))
+        for record in records:
             assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+            assert copy.copy(record) == record
             with pytest.raises(AttributeError):
                 record.extra = 1
         with pytest.raises(AttributeError):
