@@ -64,6 +64,11 @@ class AbstractionResult(Value):
             _setattr(self, "_ranks", None)
         return self._log
 
+    def _merges(self) -> int:
+        """``len(self.merge_log)``, read without building the log."""
+        ranks = self._ranks
+        return len(self._log if ranks is None else ranks[1])
+
 
 def _find(parent: dict, r: int) -> int:
     """The chain scan's survivor of rank r: the end of its parent chain, halved on the way."""
@@ -117,7 +122,7 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
     the level's triples in ascending order, skipping those whose children
     are gone, therefore repeats "merge the smallest triple" exactly.
     """
-    depths = index.depths
+    depths, out, into, tags = index.depths, index.out, index.into, index.tags
     absorbed: set = set()
     log = []
     members = set(ordinary)
@@ -125,21 +130,24 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
     for r in ordinary:
         by_level.setdefault(depths[r], []).append(r)
 
-    def detachable(n: int, trio: tuple) -> bool:
-        # n's own edges all touch n, which is in the trio and not merged.
-        return all(x in trio or x in absorbed for x in (*index.out[n], *index.into[n]))
-
     for level in range(max(depths, default=0) - 1, 0, -1):
         triples = []
         for a in by_level.get(level, ()):
-            children = list(zip(index.out[a], index.tags[a]))
-            left = [b for b, tag in children if tag == "l" and b in members]
-            right = [b for b, tag in children if tag == "r" and b in members]
+            left, right = [], []
+            for b, tag in zip(out[a], tags[a]):
+                if b in members:
+                    (left if tag == "l" else right).append(b)
             for b in left:
                 for c2 in right:
-                    trio = (a, b, c2)
-                    if b != c2 and detachable(b, trio) and detachable(c2, trio):
-                        triples.append(trio)
+                    if b != c2:
+                        # Detachable: each edge of b and c2 (none is a self
+                        # edge) stays in the trio or reaches an absorbed node.
+                        trio = (a, b, c2)
+                        for x in (*out[b], *into[b], *out[c2], *into[c2]):
+                            if x not in trio and x not in absorbed:
+                                break
+                        else:
+                            triples.append(trio)
         for a, b, c2 in sorted(triples):
             if b not in absorbed and c2 not in absorbed:
                 absorbed.update((b, c2))

@@ -66,21 +66,23 @@ _VAR_POINTED, _BACK, _HORIZONTAL, _MULTI_IN, _MULTI_OUT = (1 << i for i in range
 def _mark_depth_anomalies(index: ComponentIndex, masks: list):
     # Lists and trees: both endpoints of an edge of the layout's kind that
     # goes up to a shallower node (back edge) or, in trees, stays level.
-    depths = index.all_depths()
+    depths, tags = index.all_depths(), index.tags
     tree = index.component.layout is Layout.T
-    for src, (succ, tags) in enumerate(zip(index.out, index.tags)):
+    for src, succ in enumerate(index.out):
+        if not succ:  # a leaf
+            continue
         above = depths[src]
-        for dst, tag in zip(succ, tags):
-            if bool(tag) is not tree:
-                continue
-            if above > depths[dst]:
+        for dst, tag in zip(succ, tags[src]):
+            below = depths[dst]
+            if above > below:
                 bit = _BACK
-            elif tree and above == depths[dst]:
+            elif tree and above == below:
                 bit = _HORIZONTAL
             else:
                 continue
-            masks[src] |= bit
-            masks[dst] |= bit
+            if bool(tag) is tree:
+                masks[src] |= bit
+                masks[dst] |= bit
 
 
 def _mark_branch_points(index: ComponentIndex, masks: list):

@@ -125,15 +125,18 @@ def _refuse_edge(row, path: str, kind: type, layout: Layout, firsts: dict, nodes
     raise _bad_label(row[2], path)  # only a tree row's label is left
 
 
+_LABELS = {"l": 0, "r": 1}
+
+
 def _row_keys(rows: list, arity: int, firsts: dict, rank: dict):
     """The keys of edge rows, ids ranked by ``firsts`` then ``rank``; None for a bad row."""
     n = len(rank)
-    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {arity}:
-        try:
+    if set(map(type, rows)) <= {list}:
+        try:  # unpacking refuses a row of another arity with a ValueError
             if arity == 2:
                 return [firsts[a] * n + rank[b] for a, b in rows]
-            return [(rank[a] * n + rank[b]) * 2 + ("l", "r").index(t) for a, b, t in rows]
-        except (KeyError, TypeError, ValueError):  # an undeclared or unhashable id; a bad label
+            return [(rank[a] * n + rank[b]) * 2 + _LABELS[t] for a, b, t in rows]
+        except (KeyError, TypeError, ValueError):  # an undeclared or unhashable id or label
             pass
     return None
 
@@ -299,9 +302,9 @@ def _witness_from_doc(doc, path: str) -> Witness:
 
     # An edge is its row, as a tuple of the row's kind.  Each entry's checks
     # run in a fixed order, so the first bad entry is named; a token is
-    # checked the first time its id is seen.
+    # checked the first time its id is seen, and its edges share that object.
     kinds = {("node", 3): NodeEdge, ("tree", 4): TreeEdge, ("var", 3): VarEdge}
-    seen, edge_map = {*node_map, *node_map.values()}, {}
+    seen, edge_map = {i: i for i in chain(node_map.values(), node_map)}, {}
     for i, entry in enumerate(_require_list(obj["edge_map"], f"{path}.edge_map")):
         epath = f"{path}.edge_map[{i}]"
         if len(_require_list(entry, epath)) != 2:
@@ -314,9 +317,10 @@ def _witness_from_doc(doc, path: str) -> Witness:
             kind = kinds.get((row[0], len(row)))
             if kind is None:
                 raise SchemaError("UnknownEdgeKind", f"unrecognized edge form {row!r}", rpath)
-            for k in (1, 2):
+            for k in (1, 2):  # the row takes the one object kept for its id
                 if type(row[k]) is not str or row[k] not in seen:
-                    seen.add(_parse_token(row[k], f"{rpath}[{k}]"))
+                    seen[row[k]] = _parse_token(row[k], f"{rpath}[{k}]")
+                row[k] = seen[row[k]]
             if kind is TreeEdge and row[3] not in ("l", "r"):
                 raise _bad_label(row[3], rpath)
             edges.append(tuple.__new__(kind, row))

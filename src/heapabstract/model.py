@@ -22,7 +22,9 @@ from .errors import (
     UnreachableNodeError,
 )
 
-_TOKEN = re.compile(r"[^\s,\ud800-\udfff]+")  # used with fullmatch
+# Comma-joined tokens, used with fullmatch: a list of ids joined by commas
+# matches when its commas are the separators and each id is a token.
+_TOKENS = re.compile(r"[^\s,\ud800-\udfff]+(?:,[^\s,\ud800-\udfff]+)*")
 
 
 class Layout(Enum):
@@ -108,9 +110,11 @@ class TreeEdge(Edge):
 def _tokens_ok(ids) -> bool:
     """Whether every id is a token: a nonempty string without whitespace, commas or surrogates."""
     try:
-        return all(map(_TOKEN.fullmatch, ids))
+        joined = ",".join(ids)
     except TypeError:  # a non-string id
         return False
+    # The separators are the only commas, so the match splits at the ids.
+    return not ids or joined.count(",") == len(ids) - 1 and bool(_TOKENS.fullmatch(joined))
 
 
 _setattr = object.__setattr__
@@ -545,12 +549,12 @@ def validate_component(c: Component, index: ComponentIndex | None = None) -> lis
         flag("MissingCycle", "no directed cycle among node edges")
 
     if c.layout is Layout.T:
-        parented = [False] * len(ids)
-        for src, (succ, tags) in enumerate(zip(index.out, index.tags)):
+        parented, tags = [False] * len(ids), index.tags
+        for src, succ in enumerate(index.out):
             above = depths[src]
-            if above >= 0:
-                for dst, tag in zip(succ, tags):
-                    if tag and above < depths[dst]:
+            if succ and above >= 0:  # not a leaf, and reachable
+                for dst, tag in zip(succ, tags[src]):
+                    if above < depths[dst] and tag:
                         parented[dst] = True
         # Entries (depth 0) and unreachable nodes need no parent.
         for n, d, has_parent in zip(ids, depths, parented):

@@ -155,9 +155,16 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
         same = range(m), range(len(t_core.vars))
         have = [t_core.mapped(k, keys, *same, size) for k, keys in enumerate(have)]
     ext_core = RankedCore(list(ext), list(ext_vars), have)
-    present, covered = list(map(set, have)), [set(), set(), set()]
+    # The identity map of a source onto its own ranks forces each edge onto itself.
+    identity = size == len(s_core.ids) and named == t_core.ids and s_core.vars == t_core.vars
+    # Each kind has a block; present holds the target's keys of a kind once a block needs them.
+    present, covered = [None] * 3, [set(), set(), set()]
     for k, j, keys, images in blocks:
-        forced = s_core.mapped(k, keys, image, var_image, size)
+        forced = keys if identity else s_core.mapped(k, keys, image, var_image, size)
+        if images is None and forced == have[j]:  # each forced image is one target edge of kind j
+            covered[j] = None
+            continue
+        present[j] = present[j] or set(have[j])
         images = forced if images is None else edge_keys(j, images, ext, ext_vars, size)
         covered[j].update(images)
         if images is forced and present[j].issuperset(images):
@@ -174,7 +181,8 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
                     detail = f"image {image_edge} is not a target edge"
                     found.append((e, "ImageEdgeMissing", detail))
     found.sort(key=itemgetter(0))  # stably, so an edge's findings keep their order
-    uncovered = (ext_core.decode(k, sorted(present[k] - covered[k])) for k in range(3))
+    kinds = [k for k in range(3) if covered[k] is not None]
+    uncovered = (ext_core.decode(k, sorted(present[k] - covered[k])) for k in kinds)
     return [Violation(code, detail) for _, code, detail in found], chain.from_iterable(uncovered)
 
 

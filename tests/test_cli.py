@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit-code contract."""
 
 import cProfile
+import gc
 import io
 import json
 import os
@@ -16,6 +17,8 @@ import heapabstract
 from conftest import FIXTURE_DIR
 from genheaps import GENERATORS, comp, te, ve
 from heapabstract import Heap, Layout, NodeEdge, TreeEdge, VarEdge, serialize_heap
+from heapabstract import cli
+from heapabstract.abstraction import MergeEvent
 from heapabstract.cli import run
 
 FIG1 = str(FIXTURE_DIR / "fig1_sll.json")
@@ -359,6 +362,71 @@ def test_abstract_builds_no_edge_objects(tmp_path):
     assert code == 0
     constructors = {kind.__new__.__code__ for kind in (VarEdge, NodeEdge, TreeEdge)}
     assert [e.callcount for e in profiler.getstats() if e.code in constructors] == []
+
+
+def test_stats_count_merges_without_building_the_log(monkeypatch, capsys):
+    built = []
+    init = MergeEvent.__init__
+
+    def counted(self, survivor, removed):
+        built.append(survivor)
+        init(self, survivor, removed)
+
+    monkeypatch.setattr(MergeEvent, "__init__", counted)
+    assert run(["abstract", FIG1, "--stats"]) == 0
+    assert built == []
+    assert capsys.readouterr().err == "component 0: SLL nodes 8 -> 4 edges 10 -> 7 merges 4\n"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_commands_pause_cyclic_gc_and_restore_it(collecting, monkeypatch):
+    during = []
+
+    def failing(c):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(["abstract", FIG1]) == 0
+        assert gc.isenabled() is collecting
+        assert run(["abstract", str(FIXTURE_DIR / "nope.json")]) == 2
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "abstract_component", failing)
+        assert run(["abstract", FIG1]) == 3
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def test_commands_leave_only_the_argument_parsers_cycles(tmp_path):
+    # With GC paused, an abstract run leaves what building its argument
+    # parser leaves, whatever the size of the heap.
+    ids = [f"n{i}" for i in range(10_000)]
+    doc = {
+        "layout": "SLL",
+        "variables": ["x"],
+        "nodes": ids,
+        "var_edges": [["x", "n0"]],
+        "node_edges": [[a, b] for a, b in zip(ids, ids[1:])],
+    }
+    big = tmp_path / "list.json"
+    big.write_text(json.dumps({"components": [doc]}), encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        left = []
+        for heap in (FIG1, FIG1, str(big)):  # the first run is a warm-up
+            gc.collect()
+            assert run(["abstract", heap, "--out", out, "--stats"]) == 0
+            left.append(gc.collect())
+    finally:
+        if was:
+            gc.enable()
+    assert left[1] == left[2]
 
 
 def test_cli_import_skips_dataclasses():

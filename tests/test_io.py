@@ -343,6 +343,18 @@ class TestWitnessDocuments:
         assert parse_witnesses(text) == witnesses
         assert serialize_witnesses(parse_witnesses(text)) == text
 
+    def test_parsed_edges_share_one_object_per_id(self):
+        # Root, then layers of eight nodes, complete bipartite between layers.
+        ids = [f"n{i}" for i in range(1000)]
+        layers = [ids[s : s + 8] for s in range(1, 1000, 8)]
+        edges = {ve("x", "n0")} | {ne("n0", b) for b in layers[0]}
+        for upper, lower in zip(layers, layers[1:]):
+            edges |= {ne(a, b) for a in upper for b in lower}
+        dag = comp(Layout.DAG, {"x"}, ids, edges)
+        [w] = parse_witnesses(serialize_witnesses([abstract_component(dag).witness]))
+        source_ids = [i for e in w.edge_map for i in e[1:]]
+        assert len({id(i) for i in source_ids}) == len(set(source_ids)) == 1001
+
 
 class TestExportDot:
     def test_fig1_edges_present(self, fig1):

@@ -3,9 +3,10 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genheaps import comp, ne, random_component, random_heap, te, ve
@@ -34,6 +35,7 @@ from heapabstract import (
     serialize_heap,
     validate_component,
 )
+from heapabstract.model import _tokens_ok
 
 
 class TestConstruction:
@@ -89,6 +91,32 @@ class TestConstruction:
             Layout.SLL, frozenset(), frozenset({"a", "b"}), [ne("a", "b"), ne("a", "b")]
         )
         assert len(c.edges) == 1
+
+
+_ONE_TOKEN = re.compile(r"[^\s,\ud800-\udfff]+")  # the rule for one id, used with fullmatch
+_ID_CHARS = ["a", "b", ",", " ", "\n", "\x1c", "\u2003", "\u3000", "\ud800", "\udfff", "\U0001f600"]
+_IDS = st.one_of(
+    st.text(st.sampled_from(_ID_CHARS), max_size=4), st.integers(), st.none(), st.binary(max_size=2)
+)
+
+
+@given(st.lists(_IDS, max_size=5))
+@example([])
+@example(["a,b"])
+@example(["a,", "b"])
+@example(["a", ""])
+@example([""])
+@example(["a", 1])
+@example(["\ud800"])
+def test_token_list_check_matches_the_per_id_rule(ids):
+    # One match over the comma-joined ids decides what one match per id would.
+    expected = all(type(i) is str and _ONE_TOKEN.fullmatch(i) is not None for i in ids)
+    assert _tokens_ok(ids) is _tokens_ok(tuple(ids)) is expected
+    strings = [i for i in ids if type(i) is str]
+    expected = all(_ONE_TOKEN.fullmatch(i) for i in strings)
+    assert _tokens_ok(frozenset(strings)) is _tokens_ok(dict.fromkeys(strings)) is expected
+    for i in strings:
+        assert _tokens_ok((i,)) is (_ONE_TOKEN.fullmatch(i) is not None)
 
 
 class TestRecords:

@@ -169,6 +169,43 @@ def test_large_components_match_oracle():
                 _assert_matches_with_reabstraction(_perfect_tree(levels, chords, extra, rng))
 
 
+def _branching_tree(n, rng):
+    # Each node hangs off a random earlier one under a random label, so a
+    # node can have several children of one label, or one child under both
+    # labels.  An extra edge either gives a node a second parent one level
+    # up or is a chord that does not descend; chords and variables make
+    # some nodes special.
+    nodes = [f"b{i:02d}" for i in range(n)]
+    rng.shuffle(nodes)
+    depth = {nodes[0]: 0}
+    edges = {ve("R", nodes[0])}
+    for i in range(1, n):
+        parent = nodes[rng.randrange(i)]
+        depth[nodes[i]] = depth[parent] + 1
+        edges |= {te(parent, nodes[i], label) for label in rng.choice(["l", "r", "lr"])}
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(nodes, 2)
+        if depth[a] >= depth[b] or depth[a] + 1 == depth[b]:  # either keeps depths
+            edges.add(te(a, b, rng.choice("lr")))
+    variables = [f"v{k}" for k in range(rng.randint(0, 2))]
+    edges |= {ve(v, rng.choice(nodes)) for v in variables}
+    return comp(Layout.T, {"R", *variables}, nodes, edges)
+
+
+def test_tree_fold_matches_oracle_on_branching_trees():
+    # The fold keeps the left x right product of each parent's children, so
+    # trees whose nodes have two children of one label are compared too,
+    # with the 7-node tree whose output depends on its node names.
+    named = {te("R", "a", "l"), te("a", "b", "l"), te("a", "b2", "l"), te("a", "c", "r")}
+    named |= {te("b", "e", "l"), te("b", "f", "r"), ve("x", "R")}
+    seven = comp(Layout.T, {"x"}, {"R", "a", "b", "b2", "c", "e", "f"}, named)
+    _assert_matches_with_reabstraction(seven)
+    _assert_matches_with_reabstraction(relabel(seven, {"b": "b9", "b2": "b0"}))
+    rng = random.Random(606)
+    for _ in range(400):
+        _assert_matches_with_reabstraction(_branching_tree(rng.randint(3, 40), rng))
+
+
 def _count_calls(argv, functions):
     profiler = cProfile.Profile()
     profiler.enable()

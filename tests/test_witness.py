@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracle
 from genheaps import comp, ne, random_component, random_relabeling, relabel, te, ve
 from heapabstract import (
     BudgetExceededError,
@@ -245,6 +246,31 @@ class TestProducedEdgeMap:
             ]
             found += bool(view_found)
         assert found > 300
+
+    def test_identity_views_are_judged_as_the_oracle_judges_them(self):
+        # An unmerged component's identity view forces each edge onto
+        # itself; judged over the component's own copy, over copies with an
+        # edge added or removed, and with two nodes' images swapped, the
+        # checker must find what the edge-by-edge oracle finds.
+        rng = random.Random(29)
+        judged = set()
+        for _ in range(300):
+            c = random_component(rng, rng.choice(list(Layout)), max_nodes=12)
+            w = identity_witness(c)
+            nodes = sorted(c.nodes)
+            a, b = rng.choice(nodes), rng.choice(nodes)
+            extra = te(a, b, rng.choice("lr")) if c.layout is Layout.T else ne(a, b)
+            removed = rng.choice(sorted(c.edges)) if c.edges else extra
+            targets = [c.edges, c.edges | {extra}, c.edges - {removed}]
+            swapped = dict(w.node_map)
+            swapped[a], swapped[b] = b, a
+            swap = Witness(swapped, EdgeImages(c, swapped))
+            for edges, witness in [*((e, w) for e in targets), (c.edges, swap)]:
+                target = Component(c.layout, c.vars, c.nodes, set(edges))
+                found = check_valid_abstraction(c, target, witness)
+                assert found == oracle.check_valid_abstraction(c, target, witness)
+                judged.add(tuple(codes(found)))
+        assert {(), ("EdgeMapNotOnto",), ("ImageEdgeMissing",)} <= judged
 
     def test_compose_of_views_equals_dict_composition(self):
         rng = random.Random(53)
