@@ -116,11 +116,16 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
     is detachable: every edge touching them that survives so far stays
     inside the trio (no variable points at them: pointed nodes are
     special).  Without that proviso a merge could orphan a deeper special
-    node and the output would not abstract the input.  A merge removes
-    only nodes one level down whose every edge stays in its own trio, so
-    it neither creates nor spoils another triple of the level; settling
-    the level's triples in ascending order, skipping those whose children
-    are gone, therefore repeats "merge the smallest triple" exactly.
+    node and the output would not abstract the input.
+
+    A level is settled in one pass, parents in ascending rank, each
+    merging a detachable pair not yet absorbed as soon as it finds it;
+    this repeats "merge the smallest triple" exactly.  A valid tree holds
+    only labeled edges, so ``out[a]`` lists children by ascending rank and
+    the pass meets the level's triples in sorted order.  No merge changes
+    whether another triple of the level is detachable: an absorbed child's
+    edges stay inside its own trio, so a candidate child with an edge to
+    it is its sibling, already absorbed.
     """
     depths, out, into, tags = index.depths, index.out, index.into, index.tags
     absorbed: set = set()
@@ -131,7 +136,6 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
         by_level.setdefault(depths[r], []).append(r)
 
     for level in range(max(depths, default=0) - 1, 0, -1):
-        triples = []
         for a in by_level.get(level, ()):
             left, right = [], []
             for b, tag in zip(out[a], tags[a]):
@@ -139,7 +143,7 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
                     (left if tag == "l" else right).append(b)
             for b in left:
                 for c2 in right:
-                    if b != c2:
+                    if b != c2 and b not in absorbed and c2 not in absorbed:
                         # Detachable: each edge of b and c2 (none is a self
                         # edge) stays in the trio or reaches an absorbed node.
                         trio = (a, b, c2)
@@ -147,11 +151,8 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
                             if x not in trio and x not in absorbed:
                                 break
                         else:
-                            triples.append(trio)
-        for a, b, c2 in sorted(triples):
-            if b not in absorbed and c2 not in absorbed:
-                absorbed.update((b, c2))
-                log.append((a, (b, c2)))
+                            absorbed.update((b, c2))
+                            log.append((a, (b, c2)))
     return log, len(ordinary) // 2 * 2
 
 

@@ -17,7 +17,7 @@ from .model import (
     ComponentIndex,
     Layout,
     Value,
-    _require_declared,
+    _declared_index,
     _require_layout,
     _setattr,
 )
@@ -175,8 +175,7 @@ def reference_similar_set(c: Component, region: Iterable) -> bool:
     unknown = members - c.nodes
     if unknown:
         raise UnknownNodeError(f"undeclared nodes: {sorted(unknown)}")
-    index = ComponentIndex(c)
-    _require_declared(index)
+    index = _declared_index(c)
     if len(members) < 2:
         return True
     ranks = {r for r, n in enumerate(index.ids) if n in members}
@@ -207,7 +206,6 @@ def ref_similar_dag(c: Component) -> SimilarityPartition:
     with an undeclared endpoint raises :class:`UnknownNodeError`.
     """
     _require_layout(c, Layout.DAG, "similarity partitioning")
-    index = ComponentIndex(c)
-    _require_declared(index)
+    index = _declared_index(c)
     groups = similarity_groups(index, ordinary_ranks(index))
     return SimilarityPartition(tuple([index.ids[r] for r in g] for g in groups))

@@ -145,7 +145,7 @@ def _cmd_abstract(args) -> int:
             print(
                 f"component {i}: {before.layout.value}"
                 f" nodes {len(before.nodes)} -> {len(r.output.nodes)}"
-                f" edges {len(before._ranked())} -> {len(r.output._ranked())}"
+                f" edges {len(before._core)} -> {len(r.output._core)}"
                 f" merges {r._merges()}",
                 file=sys.stderr,
             )

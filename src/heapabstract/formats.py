@@ -255,7 +255,7 @@ def _put_component(out: list, c: Component):
     # A component is an item of the components array, at depth 2.  An
     # edge's heap-document row is the edge without its kind tag, its
     # fields the quoted ids of its ranks.
-    core = c._ranked()
+    core = c._core
     (node_keys, tree_keys, var_keys), n = core.keys, len(core.ids)
     names, var_names = list(map(_quote, core.ids)), list(map(_quote, core.vars))
     head, sep, end, m = "[" + _INDENT[5], "," + _INDENT[5], _INDENT[4] + "]", n * 2
@@ -351,7 +351,7 @@ def _put_witness(out: list, w: Witness):
         # Each image is the edge between its ends' images.  An entry is one
         # format over the quoted names of the source edge's ranks and of
         # their images, the node map's own when its keys are the core's ids.
-        core, view = edge_map.component._ranked(), edge_map.node_map
+        core, view = edge_map.component._core, edge_map.node_map
         if core.ids != keys or view is not node_map:
             names = [quoted.get(n) or _quote(n) for n in core.ids]
             images = [quoted.get(i) or _quote(i) for i in map(view.__getitem__, core.ids)]
@@ -427,7 +427,7 @@ def export_dot(h: Heap, name: str = "heap") -> str:
             lines.append(f"    {_dot_id(v)} [shape=circle];")
         for n in sorted(comp.nodes):
             lines.append(f"    {_dot_id(n)} [shape=oval];")
-        for e in comp._ranked().edges():
+        for e in comp._core.edges():
             label = f' [label="{e[3]}"]' if len(e) == 4 else ""
             lines.append(f"    {_dot_id(e[1])} -> {_dot_id(e[2])}{label};")
         lines.append("  }")

@@ -225,7 +225,7 @@ class Component(Value):
 
     A parsed or abstracted component holds a :class:`RankedCore` and
     builds ``edges`` when first read; one built from ``edges`` builds its
-    core when first needed.
+    core when it is constructed.
     """
 
     _fields = ("layout", "vars", "nodes", "edges")
@@ -235,6 +235,7 @@ class Component(Value):
         for name, value in zip(self.__slots__, (layout, vars, nodes, frozenset(edges), None)):
             _setattr(self, name, value)
         self.__post_init__()
+        _setattr(self, "_core", RankedCore.from_edges(self.nodes, self.vars, self._edges))
 
     @classmethod
     def _from_core(cls, layout: Layout, vars, nodes, core: RankedCore) -> Component:
@@ -266,11 +267,6 @@ class Component(Value):
         if self._edges is None:
             _setattr(self, "_edges", frozenset(self._core.edges()))
         return self._edges
-
-    def _ranked(self) -> RankedCore:
-        if self._core is None:
-            _setattr(self, "_core", RankedCore.from_edges(self.nodes, self.vars, self._edges))
-        return self._core
 
     def var_edges(self) -> frozenset:
         return frozenset(e for e in self.edges if isinstance(e, VarEdge))
@@ -372,11 +368,8 @@ class ComponentIndex:
 
     def __init__(self, c: Component):
         self.component = c
-        core = c._ranked()
-        tree = c.layout is Layout.T
-        self.mismatched, self.undeclared = [], []
-        if core.keys[0 if tree else 1]:  # an edge of a kind the layout does not take
-            self.mismatched = [e for e in c.node_edges() if (type(e) is TreeEdge) is not tree]
+        core, wrong = c._core, int(c.layout is not Layout.T)  # the kind the layout does not take
+        self.mismatched, self.undeclared = core.decode(wrong, core.keys[wrong]), []
         if len(core.ids) > len(c.nodes) or len(core.vars) > len(c.vars):  # an undeclared id
             ok = {e for e in c.edges if c.nodes.issuperset(e.ends)}
             bad_var = [e for e in ok if type(e) is VarEdge and e.var not in c.vars]
@@ -451,9 +444,12 @@ def _require_layout(c: Component, layout: Layout, what: str):
         )
 
 
-def _require_declared(index: ComponentIndex):
+def _declared_index(c: Component) -> ComponentIndex:
+    """The component's index; an edge with an undeclared endpoint raises UnknownNodeError."""
+    index = ComponentIndex(c)
     if index.undeclared:
         raise UnknownNodeError(f"edge {min(index.undeclared)} has an undeclared endpoint")
+    return index
 
 
 def entry_nodes(c: Component) -> frozenset:
@@ -548,7 +544,8 @@ def validate_component(c: Component, index: ComponentIndex | None = None) -> lis
     if c.layout is Layout.C and not any(index.loops) and not index.cyclic_ranks():
         flag("MissingCycle", "no directed cycle among node edges")
 
-    if c.layout is Layout.T:
+    # Without an unlabeled edge, every reachable node's BFS parent edge is a labeled parent.
+    if c.layout is Layout.T and index.mismatched:
         parented, tags = [False] * len(ids), index.tags
         for src, succ in enumerate(index.out):
             above = depths[src]

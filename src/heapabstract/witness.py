@@ -24,7 +24,7 @@ from .model import (
     Value,
     VarEdge,
     Violation,
-    _require_declared,
+    _declared_index,
     _setattr,
     edge_keys,
 )
@@ -68,7 +68,7 @@ class EdgeImages(Mapping):
         return iter(self.component.edges)
 
     def __len__(self) -> int:
-        return len(self.component._ranked())
+        return len(self.component._core)
 
 
 def check_valid_abstraction(source: Component, target: Component, w: Witness) -> list:
@@ -133,7 +133,7 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
     apart.  The edge map is judged in blocks of (source kind, image kind,
     source keys, image edges), the images None where they are the forced ones.
     """
-    s_core, t_core = source._ranked(), target._ranked()
+    s_core, t_core = source._core, target._core
     view = isinstance(edge_map, EdgeImages) and edge_map.component is source
     if view and edge_map.node_map is node_map:  # its images are the forced ones
         found, blocks = [], [(k, k, keys, None) for k, keys in enumerate(s_core.keys)]
@@ -191,7 +191,7 @@ def _entries(source: Component, edge_map) -> tuple:
     unmapped, and its edges that are not the source's), and blocks of
     (source kind, image kind, source keys, image edges) for the rest.  An
     image that is neither None nor an edge raises a TypeError."""
-    core, found, blocks = source._ranked(), [], []
+    core, found, blocks = source._core, [], []
     for k, keys in enumerate(core.keys):
         edges = core.decode(k, keys)
         images = list(map(edge_map.get, edges))
@@ -248,9 +248,7 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
         raise BudgetExceededError(
             f"source has {len(source.nodes)} nodes, budget is {node_budget}"
         )
-    source_index, target_index = ComponentIndex(source), ComponentIndex(target)
-    _require_declared(source_index)
-    _require_declared(target_index)
+    source_index, target_index = _declared_index(source), _declared_index(target)
     if source.layout is not target.layout or source.vars != target.vars:
         return None
 
@@ -350,12 +348,10 @@ def isomorphic(c1: Component, c2: Component) -> bool:
     same self edges) is checked against already-mapped neighbours only.
     An edge with an undeclared endpoint raises :class:`UnknownNodeError`.
     """
-    index1, index2 = ComponentIndex(c1), ComponentIndex(c2)
-    _require_declared(index1)
-    _require_declared(index2)
+    index1, index2 = _declared_index(c1), _declared_index(c2)
     if c1.layout is not c2.layout or c1.vars != c2.vars:
         return False
-    if len(c1.nodes) != len(c2.nodes) or len(c1.edges) != len(c2.edges):
+    if len(c1.nodes) != len(c2.nodes) or len(c1._core) != len(c2._core):
         return False
 
     # Nodes are handled by rank, so every tie breaks by id.

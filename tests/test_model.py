@@ -435,6 +435,12 @@ class TestValidateComponent:
         codes = [v.code for v in validate_component(c)]
         assert "EdgeKindMismatch" in codes
         assert "MissingTreeParent" in codes
+        # An unlabeled self edge, or one beside a labeled parent edge, is a
+        # kind mismatch that leaves every node its labeled parent.
+        for unlabeled in (ne("b", "b"), ne("a", "b")):
+            edges = {ve("R", "a"), te("a", "b", "l"), unlabeled}
+            c = comp(Layout.T, vars={"R"}, nodes={"a", "b"}, edges=edges)
+            assert [v.code for v in validate_component(c)] == ["EdgeKindMismatch"]
 
     def test_violations_have_details(self):
         c = comp(Layout.SLL, nodes={"a"}, edges={ne("a", "ghost")})

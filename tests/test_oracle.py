@@ -206,6 +206,23 @@ def test_tree_fold_matches_oracle_on_branching_trees():
         _assert_matches_with_reabstraction(_branching_tree(rng.randint(3, 40), rng))
 
 
+def test_tree_fold_where_two_parents_on_a_level_share_a_child():
+    # w hangs off p and q, both on level 2, so neither p's pair nor q's is
+    # detachable.  s on that level folds its pair, and B then folds s and t.
+    kept = {ve("x", "R"), te("R", "A", "l"), te("R", "B", "r"), te("A", "p", "l")}
+    kept |= {te("A", "q", "r"), te("p", "p1", "l"), te("p", "w", "r"), te("q", "w", "l")}
+    kept |= {te("q", "q1", "r")}
+    folded = {te("B", "s", "l"), te("B", "t", "r"), te("s", "s1", "l"), te("s", "s2", "r")}
+    nodes = {"R", "A", "B", "p", "p1", "q", "q1", "w"}
+    c = comp(Layout.T, {"x"}, nodes | {"s", "s1", "s2", "t"}, kept | folded)
+    result = abstract_component(c)
+    log = [(ev.survivor, ev.removed) for ev in result.merge_log]
+    assert log == [("s", ("s1", "s2")), ("B", ("s", "t"))]
+    loops = {te("B", "B", "l"), te("B", "B", "r")}
+    assert result.output == comp(Layout.T, {"x"}, nodes, kept | loops)
+    _assert_matches_with_reabstraction(c)
+
+
 def _count_calls(argv, functions):
     profiler = cProfile.Profile()
     profiler.enable()
