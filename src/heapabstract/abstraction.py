@@ -179,7 +179,8 @@ _MERGES = {
 
 
 def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
-    c, core, ids = index.component, index.core, index.ids
+    c, ids = index.component, index.ids
+    core = c._core
     if log:
         # A node absorbs before it is absorbed, so in reverse each
         # absorber's survivor is final before its own entry is read.

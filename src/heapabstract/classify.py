@@ -17,7 +17,6 @@ from .model import (
     ComponentIndex,
     Layout,
     Value,
-    _declared_index,
     _require_layout,
     _setattr,
 )
@@ -64,15 +63,15 @@ _VAR_POINTED, _BACK, _HORIZONTAL, _MULTI_IN, _MULTI_OUT = (1 << i for i in range
 
 
 def _mark_depth_anomalies(index: ComponentIndex, masks: list):
-    # Lists and trees: both endpoints of an edge of the layout's kind that
-    # goes up to a shallower node (back edge) or, in trees, stays level.
-    depths, tags = index.all_depths(), index.tags
+    # Lists and trees: both endpoints of an edge that goes up to a
+    # shallower node (back edge) or, in trees, stays level.
+    depths = index.all_depths()
     tree = index.component.layout is Layout.T
     for src, succ in enumerate(index.out):
         if not succ:  # a leaf
             continue
         above = depths[src]
-        for dst, tag in zip(succ, tags[src]):
+        for dst in succ:
             below = depths[dst]
             if above > below:
                 bit = _BACK
@@ -80,9 +79,8 @@ def _mark_depth_anomalies(index: ComponentIndex, masks: list):
                 bit = _HORIZONTAL
             else:
                 continue
-            if bool(tag) is tree:
-                masks[src] |= bit
-                masks[dst] |= bit
+            masks[src] |= bit
+            masks[dst] |= bit
 
 
 def _mark_branch_points(index: ComponentIndex, masks: list):
@@ -141,13 +139,11 @@ def ordinary_nodes(c: Component) -> frozenset:
 
 def _neighbourhood(index: ComponentIndex, r: int):
     # The similarity key: predecessor and successor ranks, which the index
-    # lists ascending and once each unless labeled edges (a mismatch in a
-    # DAG) are among them, then compared as sets.  A node with a self edge
-    # is its own neighbour, shared only across a 2-cycle: it keys on its rank.
+    # lists ascending and once each (a DAG holds only plain edges).  A node
+    # with a self edge is its own neighbour, shared only across a 2-cycle:
+    # it keys on its rank.
     if index.loops[r]:
         return r
-    if index.mismatched:
-        return frozenset(index.into[r]), frozenset(index.out[r])
     return tuple(index.into[r]), tuple(index.out[r])
 
 
@@ -156,8 +152,8 @@ def reference_similar(c: Component, a: str, b: str) -> bool:
 
     True when no edge connects them and they share exactly the same
     predecessor and successor sets (over node edges; variables do not
-    enter into similarity).  An edge with an undeclared endpoint raises
-    :class:`UnknownNodeError`, as an undeclared node does.
+    enter into similarity).  An undeclared node raises
+    :class:`UnknownNodeError`.
     """
     _require_layout(c, Layout.DAG, "reference similarity")
     if a == b:
@@ -168,14 +164,14 @@ def reference_similar(c: Component, a: str, b: str) -> bool:
 def reference_similar_set(c: Component, region: Iterable) -> bool:
     """Whether every pair of distinct nodes in the region is reference similar.
 
-    Undeclared nodes, in the region or at an edge's end, raise UnknownNodeError.
+    Undeclared nodes in the region raise UnknownNodeError.
     """
     _require_layout(c, Layout.DAG, "reference similarity")
     members = frozenset(region)
     unknown = members - c.nodes
     if unknown:
         raise UnknownNodeError(f"undeclared nodes: {sorted(unknown)}")
-    index = _declared_index(c)
+    index = ComponentIndex(c)
     if len(members) < 2:
         return True
     ranks = {r for r, n in enumerate(index.ids) if n in members}
@@ -202,10 +198,9 @@ def similarity_groups(index: ComponentIndex, ordinary) -> list:
 def ref_similar_dag(c: Component) -> SimilarityPartition:
     """Partition a valid DAG's ordinary nodes into reference-similar groups.
 
-    Groups appear in ascending order of their smallest member.  An edge
-    with an undeclared endpoint raises :class:`UnknownNodeError`.
+    Groups appear in ascending order of their smallest member.
     """
     _require_layout(c, Layout.DAG, "similarity partitioning")
-    index = _declared_index(c)
+    index = ComponentIndex(c)
     groups = similarity_groups(index, ordinary_ranks(index))
     return SimilarityPartition(tuple([index.ids[r] for r in g] for g in groups))

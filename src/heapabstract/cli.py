@@ -3,7 +3,7 @@
 Exit codes are stable:
   0  success
   1  a check failed (invalid witness, or no witness exists)
-  2  input error (unreadable file, bad document, invalid component)
+  2  input error (unreadable file, bad document, invalid component, out of memory)
   3  internal invariant breach
 
 Data goes to stdout or --out; diagnostics go to stderr.  Identical inputs
@@ -254,32 +254,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--witness", type=_output_path, help="write the witnesses document here")
     p.add_argument("--stats", action="store_true", help="print per-component merge stats")
-    p.set_defaults(handler=_cmd_abstract)
+    p.set_defaults(handler=_cmd_abstract, inputs=("heap",))
 
     p = sub.add_parser("classify", help="print each node's class and reasons")
     p.add_argument("heap")
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_classify, inputs=("heap",))
 
     p = sub.add_parser("check-witness", help="check a witness document against two heaps")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("witness")
-    p.set_defaults(handler=_cmd_check_witness)
+    p.set_defaults(handler=_cmd_check_witness, inputs=("source", "target", "witness"))
 
     p = sub.add_parser("check-valid", help="search exhaustively for a witness")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--budget", type=int, default=8, help="max source nodes per component")
-    p.set_defaults(handler=_cmd_check_valid)
+    p.set_defaults(handler=_cmd_check_valid, inputs=("source", "target"))
 
     p = sub.add_parser("validate", help="check heap well-formedness")
     p.add_argument("heap")
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=_cmd_validate, inputs=("heap",))
 
     p = sub.add_parser("export-dot", help="render a heap as a Graphviz document")
     p.add_argument("heap")
     p.add_argument("--out", type=_output_path, help="write the DOT document here instead of stdout")
-    p.set_defaults(handler=_cmd_export_dot)
+    p.set_defaults(handler=_cmd_export_dot, inputs=("heap",))
 
     return parser
 
@@ -302,6 +302,10 @@ def run(argv=None) -> int:
         return INPUT_ERROR
     except BudgetExceededError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        return INPUT_ERROR
+    except MemoryError:  # it carries no message: name the command and what it read
+        inputs = ", ".join(getattr(args, name) for name in args.inputs)
+        print(f"error: OutOfMemory: {args.command} ran out of memory on {inputs}", file=sys.stderr)
         return INPUT_ERROR
     except InternalInvariantError as exc:
         print(f"internal error: {exc.code}: {exc}", file=sys.stderr)

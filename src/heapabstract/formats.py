@@ -262,12 +262,10 @@ def _put_component(out: list, c: Component):
     labels = [f'{sep}"l"{end}', f'{sep}"r"{end}']
     member = "," + _INDENT[3]
     out.append("{" + _INDENT[3] + '"layout": ' + _quote(c.layout.value))
-    out.append(member + '"variables": ')  # the core also ranks any undeclared id
-    variables = map(_quote, sorted(c.vars)) if len(var_names) > len(c.vars) else var_names
-    yield from _put_array(out, variables, 3)
+    out.append(member + '"variables": ')
+    yield from _put_array(out, var_names, 3)
     out.append(member + '"nodes": ')
-    nodes = map(_quote, sorted(c.nodes)) if len(names) > len(c.nodes) else names
-    yield from _put_array(out, nodes, 3)
+    yield from _put_array(out, names, 3)
     out.append(member + '"var_edges": ')
     var_rows = (f"{head}{var_names[k // n]}{sep}{names[k % n]}{end}" for k in var_keys)
     yield from _put_array(out, var_rows, 3)

@@ -216,12 +216,15 @@ def edge_keys(kind: int, edges, rank: dict, var_rank: dict, n: int) -> list:
 class Component(Value):
     """One labeled directed graph with a layout tag.
 
-    Construction is permissive about graph shape (undeclared endpoints,
-    kind/layout mismatches and the like are reported by
-    :func:`validate_component`, not raised here) so that broken inputs can
-    be represented and diagnosed.  Identifier tokens and the separation of
-    the variable and node namespaces are enforced eagerly because nothing
-    downstream can cope without them.
+    A component holds what a heap document can: token ids, none both a
+    variable and a node, and edges of its layout's kind between declared
+    ids.  The constructor refuses anything else, because nothing
+    downstream can cope without it: an item that is no edge raises
+    TypeError, an edge with an undeclared endpoint UnknownNodeError, and
+    a labeled edge outside a tree or a plain one inside it ValueError,
+    each naming the smallest such item.  Graph shape (reachability,
+    branching, cycles) is left to :func:`validate_component`, so that
+    broken structures can be represented and diagnosed.
 
     A parsed or abstracted component holds a :class:`RankedCore` and
     builds ``edges`` when first read; one built from ``edges`` builds its
@@ -235,7 +238,21 @@ class Component(Value):
         for name, value in zip(self.__slots__, (layout, vars, nodes, frozenset(edges), None)):
             _setattr(self, name, value)
         self.__post_init__()
-        _setattr(self, "_core", RankedCore.from_edges(self.nodes, self.vars, self._edges))
+        nodes, vars, edges = self.nodes, self.vars, self._edges
+        odd = [e for e in edges if type(e) not in RankedCore.kinds]
+        if odd:
+            raise TypeError(f"not an edge: {min(map(repr, odd))}")
+        core = RankedCore.from_edges(nodes, vars, edges)
+        if len(core.ids) > len(nodes) or len(core.vars) > len(vars):  # the core ranks every id
+            bad = [e for e in edges if not nodes.issuperset(e.ends)]
+            bad += [e for e in edges if type(e) is VarEdge and e.var not in vars]
+            raise UnknownNodeError(f"edge {min(bad)} has an undeclared endpoint")
+        wrong = int(self.layout is not Layout.T)  # the node-edge kind the layout does not take
+        if core.keys[wrong]:
+            e = core.decode(wrong, core.keys[wrong][:1])[0]
+            kind = "labeled" if wrong else "unlabeled"
+            raise ValueError(f"{kind} edge {e} in {self.layout.value} component")
+        _setattr(self, "_core", core)
 
     @classmethod
     def _from_core(cls, layout: Layout, vars, nodes, core: RankedCore) -> Component:
@@ -347,20 +364,17 @@ class ComponentIndex:
     cached on the component: build it for one component and drop it when
     that component is done.
 
-    ``core`` is the component's ranked core (when an edge names an
-    undeclared id, that of the edges between declared ids); ``ids`` lists
-    its node ids in sorted order, and a node's rank is its position there,
-    so rank order is id order and every tie-break compares ints.
+    ``ids`` lists the node ids of the component's ranked core, in sorted
+    order, and a node's rank is its position there, so rank order is id
+    order and every tie-break compares ints.
     ``out``, ``tags``, ``into``, ``loops`` and ``pointed`` are lists
     indexed by rank.  Pointer
     edges between distinct nodes are kept once by source and once by
     target: ``out[r]`` holds the ranks of r's successors and ``tags[r]``,
-    in parallel, each edge's label as read ("l", "r", or "" when unlabeled);
+    in parallel, each edge's label ("l" or "r" in a tree, "" elsewhere);
     ``into[r]`` holds the ranks of r's predecessors, so ``len`` gives the
     non-self degrees.  ``loops[r]`` holds the tags of r's self edges and
-    ``pointed[r]`` the variables pointing at r.  Edges with an undeclared
-    endpoint stay out of the adjacency and are kept in ``undeclared``;
-    edges whose kind does not suit the layout are kept in ``mismatched``.
+    ``pointed[r]`` the variables pointing at r.
     ``entries`` lists the entry ranks in order.  ``depths`` holds each
     node's BFS depth from the entries (-1 when unreachable), for list and
     tree layouts only.
@@ -368,14 +382,7 @@ class ComponentIndex:
 
     def __init__(self, c: Component):
         self.component = c
-        core, wrong = c._core, int(c.layout is not Layout.T)  # the kind the layout does not take
-        self.mismatched, self.undeclared = core.decode(wrong, core.keys[wrong]), []
-        if len(core.ids) > len(c.nodes) or len(core.vars) > len(c.vars):  # an undeclared id
-            ok = {e for e in c.edges if c.nodes.issuperset(e.ends)}
-            bad_var = [e for e in ok if type(e) is VarEdge and e.var not in c.vars]
-            self.undeclared = [e for e in c.edges if e not in ok] + bad_var
-            core = RankedCore.from_edges(c.nodes, c.vars, ok)
-        self.core = core
+        core = c._core
         self.ids = ids = core.ids
         n = len(ids)
         node_keys, tree_keys, var_keys = core.keys
@@ -444,14 +451,6 @@ def _require_layout(c: Component, layout: Layout, what: str):
         )
 
 
-def _declared_index(c: Component) -> ComponentIndex:
-    """The component's index; an edge with an undeclared endpoint raises UnknownNodeError."""
-    index = ComponentIndex(c)
-    if index.undeclared:
-        raise UnknownNodeError(f"edge {min(index.undeclared)} has an undeclared endpoint")
-    return index
-
-
 def entry_nodes(c: Component) -> frozenset:
     """Traversal entry points of a component.
 
@@ -492,11 +491,11 @@ def height(c: Component) -> int:
 def validate_component(c: Component, index: ComponentIndex | None = None) -> list:
     """Check a component's well-formedness rules, returning all violations.
 
-    Checks run in a fixed order: endpoint declaration, edge-kind/layout
-    match, then the per-layout structure rules (reachability for lists and
-    trees, acyclicity for DAGs, cycle existence for cycles, and the tree
-    skeleton rule).  Structure rules are skipped when endpoints are
-    undeclared, since the graph cannot be traversed meaningfully.
+    A component declares every endpoint and holds only edges of its
+    layout's kind (its constructor and ``parse_heap`` refuse the rest), so
+    only the per-layout structure rules are left: reachability for lists
+    and trees, a single next pointer for lists, acyclicity for DAGs and
+    cycle existence for cycles, checked in that order.
 
     Self edges mark collapsed regions in abstract components, so they do
     not count against DAG acyclicity.  ``index`` is the component's
@@ -507,20 +506,6 @@ def validate_component(c: Component, index: ComponentIndex | None = None) -> lis
 
     def flag(code: str, detail: str):
         violations.append(Violation(code, detail))
-
-    for e in sorted(index.undeclared):
-        if isinstance(e, VarEdge) and e.var not in c.vars:
-            flag("UndeclaredEndpoint", f"variable {e.var} not declared")
-        for n in e.ends:
-            if n not in c.nodes:
-                flag("UndeclaredEndpoint", f"node {n} not declared")
-
-    for e in sorted(index.mismatched):
-        kind = "labeled" if isinstance(e, TreeEdge) else "unlabeled"
-        flag("EdgeKindMismatch", f"{kind} edge {e} in {c.layout.value} component")
-
-    if index.undeclared:
-        return violations
 
     # Ranks ascend with ids, so each rule below reports in id order.
     ids, depths = index.ids, index.depths
@@ -543,19 +528,5 @@ def validate_component(c: Component, index: ComponentIndex | None = None) -> lis
 
     if c.layout is Layout.C and not any(index.loops) and not index.cyclic_ranks():
         flag("MissingCycle", "no directed cycle among node edges")
-
-    # Without an unlabeled edge, every reachable node's BFS parent edge is a labeled parent.
-    if c.layout is Layout.T and index.mismatched:
-        parented, tags = [False] * len(ids), index.tags
-        for src, succ in enumerate(index.out):
-            above = depths[src]
-            if succ and above >= 0:  # not a leaf, and reachable
-                for dst, tag in zip(succ, tags[src]):
-                    if above < depths[dst] and tag:
-                        parented[dst] = True
-        # Entries (depth 0) and unreachable nodes need no parent.
-        for n, d, has_parent in zip(ids, depths, parented):
-            if d > 0 and not has_parent:
-                flag("MissingTreeParent", f"node {n} has no labeled edge from a shallower node")
 
     return violations

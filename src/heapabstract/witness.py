@@ -24,7 +24,6 @@ from .model import (
     Value,
     VarEdge,
     Violation,
-    _declared_index,
     _setattr,
     edge_keys,
 )
@@ -241,22 +240,18 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
     as soon as every forced image exists in the target and the images
     cover all target edges (up to the merged-region self-edge allowance).
     Returns None when no witness exists.  Intended as a small-instance
-    oracle; refuses sources larger than ``node_budget`` nodes.  An edge
-    with an undeclared endpoint raises :class:`UnknownNodeError`.
+    oracle; refuses sources larger than ``node_budget`` nodes.
     """
     if len(source.nodes) > node_budget:
         raise BudgetExceededError(
             f"source has {len(source.nodes)} nodes, budget is {node_budget}"
         )
-    source_index, target_index = _declared_index(source), _declared_index(target)
     if source.layout is not target.layout or source.vars != target.vars:
         return None
 
-    src_nodes, tgt_nodes = source_index.ids, target_index.ids
-    if not src_nodes:
-        if tgt_nodes or target.edges or source.edges:
-            return None
-        return Witness({}, {})
+    src_nodes, tgt_nodes = source._core.ids, target._core.ids
+    if not src_nodes:  # so the source has no edges
+        return None if tgt_nodes else Witness({}, {})
     if not tgt_nodes:
         return None
 
@@ -346,9 +341,8 @@ def isomorphic(c1: Component, c2: Component) -> bool:
     neighbours a mapped one (its anchor) and its candidates are the
     neighbours of the anchor's image.  A candidate (same signature, so the
     same self edges) is checked against already-mapped neighbours only.
-    An edge with an undeclared endpoint raises :class:`UnknownNodeError`.
     """
-    index1, index2 = _declared_index(c1), _declared_index(c2)
+    index1, index2 = ComponentIndex(c1), ComponentIndex(c2)
     if c1.layout is not c2.layout or c1.vars != c2.vars:
         return False
     if len(c1.nodes) != len(c2.nodes) or len(c1._core) != len(c2._core):

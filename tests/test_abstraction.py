@@ -24,6 +24,7 @@ from heapabstract import (
     SameNodeError,
     UnknownNodeError,
     VarEdge,
+    Violation,
     abstract_component,
     check_valid_abstraction,
     heap_abstract_results,
@@ -180,9 +181,14 @@ class TestAbstractSll:
         assert result.output.edges == {ve("v", "a"), ne("a", "b"), ne("b", "b")}
 
     def test_rejects_invalid_component(self):
-        c = comp(Layout.SLL, nodes={"a", "b"}, edges={te("a", "b", "l")})
-        with pytest.raises(InvalidComponentError):
+        # A labeled edge never reaches the abstraction: no list can hold one.
+        with pytest.raises(ValueError, match=r"^labeled edge \(a,b,l\) in SLL component$"):
+            comp(Layout.SLL, nodes={"a", "b"}, edges={te("a", "b", "l")})
+        # A list that branches can be built, and is refused with its violations.
+        c = comp(Layout.SLL, nodes={"a", "b", "x"}, edges={ne("a", "b"), ne("a", "x")})
+        with pytest.raises(InvalidComponentError) as exc:
             abstract_component(c)
+        assert exc.value.violations == [Violation("BranchingList", "node a has 2 outgoing edges")]
 
 
 class TestAbstractTree:

@@ -57,15 +57,15 @@ class TestSll:
         assert not classes["b"].special
 
     def test_labeled_back_edge_marks_no_ends(self):
-        # Only edges of the layout's kind are back edges; a labeled one is
-        # an EdgeKindMismatch for validation, not a classification rule.
-        c = comp(
-            Layout.SLL,
-            vars={"v"},
-            nodes={"a", "b", "c"},
-            edges={ve("v", "a"), ne("a", "b"), ne("b", "c"), te("c", "a", "l")},
-        )
-        assert reasons_of(node_classes(c)) == {"a": ("VarPointed",)}
+        # A list holds no labeled edge, so classification never meets one:
+        # the constructor refuses it.
+        with pytest.raises(ValueError, match=r"^labeled edge \(c,a,l\) in SLL component$"):
+            comp(
+                Layout.SLL,
+                vars={"v"},
+                nodes={"a", "b", "c"},
+                edges={ve("v", "a"), ne("a", "b"), ne("b", "c"), te("c", "a", "l")},
+            )
 
     def test_layout_mismatch(self, fig3):
         with pytest.raises(LayoutMismatchError):
@@ -105,13 +105,14 @@ class TestTree:
         assert set(classes["r"].reasons) == {Reason.VAR_POINTED, Reason.BACK_EDGE_ENDPOINT}
 
     def test_unlabeled_back_edge_marks_no_ends(self):
-        c = comp(
-            Layout.T,
-            vars={"R"},
-            nodes={"r", "a", "b"},
-            edges={ve("R", "r"), te("r", "a", "l"), te("a", "b", "l"), ne("b", "r")},
-        )
-        assert reasons_of(node_classes(c)) == {"r": ("VarPointed",)}
+        # A tree holds no unlabeled edge, so classification never meets one.
+        with pytest.raises(ValueError, match=r"^unlabeled edge \(b,r\) in T component$"):
+            comp(
+                Layout.T,
+                vars={"R"},
+                nodes={"r", "a", "b"},
+                edges={ve("R", "r"), te("r", "a", "l"), te("a", "b", "l"), ne("b", "r")},
+            )
 
     def test_self_edges_do_not_make_special(self):
         c = comp(
@@ -308,10 +309,12 @@ class TestRefSimilarDag:
         assert [sorted(g) for g in ref_similar_dag(c).groups] == [["r"], ["s"], ["t"]]
 
     def test_labeled_edges_compare_as_sets(self):
-        # Labeled edges do not belong in a DAG, but similarity still reads
-        # them: a and b reach x and y, one plainly and one labeled each, so
-        # a and b share successors, and x and y predecessors, as sets.
+        # A DAG holds no labeled edge (the smallest is named), so each
+        # neighbourhood lists every rank once and compares as it is listed.
         edges = {ne("a", "x"), te("a", "y", "l"), ne("b", "y"), te("b", "x", "r")}
+        with pytest.raises(ValueError, match=r"^labeled edge \(a,y,l\) in DAG component$"):
+            comp(Layout.DAG, nodes={"a", "b", "x", "y"}, edges=edges)
+        edges = {ne("a", "x"), ne("a", "y"), ne("b", "y"), ne("b", "x")}
         c = comp(Layout.DAG, nodes={"a", "b", "x", "y"}, edges=edges)
         assert reference_similar(c, "a", "b") and reference_similar(c, "x", "y")
         assert [sorted(g) for g in ref_similar_dag(c).groups] == [["a", "b"], ["x", "y"]]
@@ -343,17 +346,19 @@ class TestRefSimilarDag:
 
 
 @pytest.mark.parametrize(
-    "query",
+    "similar",
     [
         lambda c: reference_similar(c, "a", "b"),
         lambda c: reference_similar_set(c, ["a", "b"]),
-        ref_similar_dag,
+        lambda c: any({"a", "b"} <= g for g in ref_similar_dag(c).groups),
     ],
     ids=["pair", "set", "partition"],
 )
-def test_similarity_rejects_undeclared_endpoints(query):
-    # a's successors include the undeclared zz, so a and b cannot be compared.
+def test_similarity_rejects_undeclared_endpoints(similar):
+    # a's successors include zz: undeclared, the component cannot be built,
+    # so no similarity query meets it; declared, it sets a apart from b.
     edges = {ne("r", "a"), ne("r", "b"), ne("a", "zz")}
-    c = comp(Layout.DAG, nodes={"r", "a", "b"}, edges=edges)
-    with pytest.raises(UnknownNodeError, match="undeclared endpoint"):
-        query(c)
+    with pytest.raises(UnknownNodeError, match=r"^edge \(a,zz\) has an undeclared endpoint$"):
+        comp(Layout.DAG, nodes={"r", "a", "b"}, edges=edges)
+    assert not similar(comp(Layout.DAG, nodes={"r", "a", "b", "zz"}, edges=edges))
+    assert similar(comp(Layout.DAG, nodes={"r", "a", "b"}, edges=edges - {ne("a", "zz")}))

@@ -401,6 +401,39 @@ def test_commands_pause_cyclic_gc_and_restore_it(collecting, monkeypatch):
     assert during == [False]
 
 
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+def _witness_out_of_memory(witnesses):
+    # The heap document is staged whole; the witness document fails part way.
+    yield "{"
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "name, stub",
+    [
+        ("parse_heap", _out_of_memory),
+        ("abstract_component", _out_of_memory),
+        ("_witness_chunks", _witness_out_of_memory),
+    ],
+)
+def test_out_of_memory_is_an_input_error(name, stub, tmp_path, monkeypatch, capsys):
+    # A MemoryError has no message: the error names the command and its inputs.
+    monkeypatch.setattr(cli, name, stub)
+    out, wit = tmp_path / "o.json", tmp_path / "w.json"
+    assert run(["abstract", FIG1, "--out", str(out), "--witness", str(wit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: OutOfMemory: abstract ran out of memory on {FIG1}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # nothing at --out or --witness, no staged file
+    if name == "parse_heap":
+        assert run(["check-witness", FIG1, FIG2, str(wit)]) == 2
+        expected = f"check-witness ran out of memory on {FIG1}, {FIG2}, {wit}\n"
+        assert capsys.readouterr().err == "error: OutOfMemory: " + expected
+
+
 def test_commands_leave_only_the_argument_parsers_cycles(tmp_path):
     # With GC paused, an abstract run leaves what building its argument
     # parser leaves, whatever the size of the heap.

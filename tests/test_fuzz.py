@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from genheaps import random_heap
 from heapabstract import (
+    Component,
     Heap,
     heap_abstract_results,
     parse_heap,
@@ -118,10 +119,11 @@ def test_parse_heap_mutated(doc):
         heap = parse_heap(json.dumps(doc))
     except DocumentError:
         return
-    # What parses declares every endpoint and fits its layout's edge kind.
+    # What parses declares every endpoint and fits its layout's edge kind,
+    # so the constructor, which refuses anything else, builds it again.
     for c in heap.components:
-        codes = {v.code for v in validate_component(c)}
-        assert not codes & {"UndeclaredEndpoint", "EdgeKindMismatch"}
+        assert Component(c.layout, c.vars, c.nodes, c.edges) == c
+        validate_component(c)  # and validation runs to its end on it
     assert parse_heap(serialize_heap(heap)) == heap
 
 

@@ -1,6 +1,7 @@
 """Tests for the graph model: region edge sets, depth, validation."""
 
 import copy
+import json
 import pickle
 import random
 import re
@@ -19,6 +20,7 @@ from heapabstract import (
     MergeEvent,
     NodeClass,
     NodeEdge,
+    SchemaError,
     TreeEdge,
     UnknownNodeError,
     UnreachableNodeError,
@@ -91,6 +93,62 @@ class TestConstruction:
             Layout.SLL, frozenset(), frozenset({"a", "b"}), [ne("a", "b"), ne("a", "b")]
         )
         assert len(c.edges) == 1
+
+    def test_non_edge_items_refused(self):
+        # A plain tuple shaped like an edge's row is not an edge; the smallest
+        # repr among the items that are not edges is named.
+        for odd in (("node", "b", "a"), "ab", None):
+            with pytest.raises(TypeError, match=re.escape(f"not an edge: {odd!r}")):
+                comp(Layout.SLL, nodes={"a", "b"}, edges=[ne("a", "b"), odd])
+        with pytest.raises(TypeError, match=r"^not an edge: \('node', 'a', 'b'\)$"):
+            comp(Layout.SLL, vars={"v"}, nodes={"a", "b"}, edges={("var", "v", "a"), ("node", "a", "b")})
+
+
+# Ids that a component below may or may not declare; "zz" and "w" never are.
+_NODE_IDS, _VAR_IDS = st.sampled_from(["a", "b", "c", "zz"]), st.sampled_from(["v", "w"])
+_ITEMS = st.one_of(
+    st.builds(NodeEdge, _NODE_IDS, _NODE_IDS),
+    st.builds(TreeEdge, _NODE_IDS, _NODE_IDS, st.sampled_from("lr")),
+    st.builds(VarEdge, _VAR_IDS, _NODE_IDS),
+    st.tuples(st.just("node"), _NODE_IDS, _NODE_IDS),  # an edge's row, but no edge
+)
+
+
+@given(
+    st.sampled_from(Layout),
+    st.sets(st.sampled_from(["v"])),
+    st.sets(st.sampled_from(["a", "b", "c"])),
+    st.sets(_ITEMS, max_size=5),
+)
+@example(Layout.SLL, {"v"}, {"a", "b"}, {ve("v", "a"), ne("a", "b")})
+@example(Layout.T, set(), {"a", "b"}, {te("a", "b", "l"), ne("a", "b")})
+@example(Layout.DAG, set(), {"a"}, {ne("a", "zz")})
+@example(Layout.C, set(), {"a"}, {ve("w", "a")})
+def test_constructor_and_parser_accept_the_same_components(layout, vars, nodes, items):
+    # The constructor refuses exactly what a heap document cannot hold, so
+    # no query needs to cope with an undeclared endpoint or an ill-kinded edge.
+    try:
+        c = Component(layout, vars, nodes, items)
+    except (UnknownNodeError, ValueError, TypeError) as exc:
+        if isinstance(exc, TypeError):  # a document holds rows, never the items themselves
+            return
+        refused = exc
+    else:
+        refused = None
+        assert parse_heap(serialize_heap(Heap((c,)))).components[0] == c
+    doc = {
+        "layout": layout.value,
+        "variables": sorted(vars),
+        "nodes": sorted(nodes),
+        "var_edges": [list(e[1:]) for e in sorted(items) if type(e) is VarEdge],
+        "node_edges": [list(e[1:]) for e in sorted(items) if type(e) is not VarEdge],
+    }
+    try:
+        parsed = parse_heap(json.dumps({"components": [doc]})).components[0]
+    except SchemaError as exc:
+        assert refused is not None and exc.code in {"UnknownNode", "UnknownVariable", "EdgeKindMismatch"}
+    else:
+        assert refused is None and parsed == c
 
 
 _ONE_TOKEN = re.compile(r"[^\s,\ud800-\udfff]+")  # the rule for one id, used with fullmatch
@@ -358,17 +416,18 @@ class TestValidateComponent:
             assert validate_component(c) == []
 
     def test_labeled_edge_in_sll(self):
-        c = comp(Layout.SLL, nodes={"a", "b"}, edges={te("a", "b", "l")})
-        assert [v.code for v in validate_component(c)] == ["EdgeKindMismatch"]
+        # No component holds an edge of the wrong kind, so validation has no rule for one.
+        with pytest.raises(ValueError, match=r"^labeled edge \(a,b,l\) in SLL component$"):
+            comp(Layout.SLL, nodes={"a", "b"}, edges={te("a", "b", "l")})
 
     def test_unlabeled_edge_in_tree(self):
-        c = comp(
-            Layout.T,
-            vars={"R"},
-            nodes={"a", "b"},
-            edges={ve("R", "a"), te("a", "b", "l"), ne("a", "b")},
-        )
-        assert "EdgeKindMismatch" in [v.code for v in validate_component(c)]
+        with pytest.raises(ValueError, match=r"^unlabeled edge \(a,b\) in T component$"):
+            comp(
+                Layout.T,
+                vars={"R"},
+                nodes={"a", "b"},
+                edges={ve("R", "a"), te("a", "b", "l"), ne("a", "b")},
+            )
 
     def test_cycle_in_dag(self, fig4):
         c = Component(fig4.layout, fig4.vars, fig4.nodes, fig4.edges | {ne("h1", "h0")})
@@ -379,10 +438,14 @@ class TestValidateComponent:
         assert validate_component(c) == []
 
     def test_undeclared_endpoint(self):
-        c = comp(Layout.SLL, nodes={"a"}, edges={ne("a", "ghost")})
-        assert [v.code for v in validate_component(c)] == ["UndeclaredEndpoint"]
-        c = comp(Layout.SLL, nodes={"a"}, edges={ve("ghost", "a")})
-        assert [v.code for v in validate_component(c)] == ["UndeclaredEndpoint"]
+        # No component holds an undeclared endpoint, so validation has no rule for one.
+        with pytest.raises(UnknownNodeError, match=r"^edge \(a,ghost\) has an undeclared endpoint$"):
+            comp(Layout.SLL, nodes={"a"}, edges={ne("a", "ghost")})
+        with pytest.raises(UnknownNodeError, match=r"^edge \(ghost,a\) has an undeclared endpoint$"):
+            comp(Layout.SLL, nodes={"a"}, edges={ve("ghost", "a")})
+        # The smallest such edge is named: node edges sort before variable edges.
+        with pytest.raises(UnknownNodeError, match=r"^edge \(b,zz\) has an undeclared endpoint$"):
+            comp(Layout.SLL, nodes={"a", "b"}, edges={ve("ghost", "a"), ne("b", "zz"), ne("a", "b")})
 
     def test_unreachable_sll_node(self):
         c = comp(
@@ -424,28 +487,37 @@ class TestValidateComponent:
         assert validate_component(c) == []
 
     def test_tree_skeleton_rule(self):
-        # c is reachable only through an unlabeled edge, so the tree
-        # skeleton is broken on top of the kind mismatch.
+        # A tree holds only labeled edges, so every reachable node below the
+        # entries has a labeled edge from a shallower node: its BFS parent.
+        # The one way to break that, an unlabeled edge, is refused when built.
+        with pytest.raises(ValueError, match=r"^unlabeled edge \(a,c\) in T component$"):
+            comp(
+                Layout.T,
+                vars={"R"},
+                nodes={"a", "b", "c"},
+                edges={ve("R", "a"), te("a", "b", "l"), ne("a", "c")},
+            )
         c = comp(
             Layout.T,
             vars={"R"},
             nodes={"a", "b", "c"},
-            edges={ve("R", "a"), te("a", "b", "l"), ne("a", "c")},
+            edges={ve("R", "a"), te("a", "b", "l"), te("a", "c", "r")},
         )
-        codes = [v.code for v in validate_component(c)]
-        assert "EdgeKindMismatch" in codes
-        assert "MissingTreeParent" in codes
-        # An unlabeled self edge, or one beside a labeled parent edge, is a
-        # kind mismatch that leaves every node its labeled parent.
+        assert validate_component(c) == []
+        # So is an unlabeled self edge, or one beside a labeled parent edge.
         for unlabeled in (ne("b", "b"), ne("a", "b")):
             edges = {ve("R", "a"), te("a", "b", "l"), unlabeled}
-            c = comp(Layout.T, vars={"R"}, nodes={"a", "b"}, edges=edges)
-            assert [v.code for v in validate_component(c)] == ["EdgeKindMismatch"]
+            with pytest.raises(ValueError, match=re.escape(f"unlabeled edge {unlabeled} in T")):
+                comp(Layout.T, vars={"R"}, nodes={"a", "b"}, edges=edges)
 
     def test_violations_have_details(self):
-        c = comp(Layout.SLL, nodes={"a"}, edges={ne("a", "ghost")})
+        # An undeclared ghost is named when the component is built; one that
+        # is declared but unreachable is named by its violation.
+        with pytest.raises(UnknownNodeError, match="ghost"):
+            comp(Layout.SLL, nodes={"a"}, edges={ne("a", "ghost")})
+        c = comp(Layout.SLL, nodes={"a", "ghost", "g2"}, edges={ne("ghost", "g2"), ne("g2", "ghost")})
         v = validate_component(c)[0]
-        assert "ghost" in v.detail
+        assert (v.code, v.detail) == ("UnreachableNode", "node g2 unreachable from entries")
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

@@ -448,11 +448,13 @@ class TestBruteForce:
                 assert find_witness_bruteforce(source, target) == first
 
     def test_undeclared_endpoint_is_an_unknown_node_error(self):
-        c = _to_undeclared("zz")
-        with pytest.raises(UnknownNodeError, match=r"edge \(a,zz\) has an undeclared endpoint"):
-            find_witness_bruteforce(c, c)
-        with pytest.raises(UnknownNodeError):
-            find_witness_bruteforce(comp(Layout.SLL, {"x"}, {"a"}, {ve("x", "a")}), c)
+        # The component cannot be built, so the search never meets one.
+        with pytest.raises(UnknownNodeError, match=r"^edge \(a,zz\) has an undeclared endpoint$"):
+            _to_undeclared("zz")
+        # Once declared, zz is a node the search must cover.
+        c = comp(Layout.SLL, {"x"}, {"a", "zz"}, {ve("x", "a"), ne("a", "zz")})
+        assert find_witness_bruteforce(comp(Layout.SLL, {"x"}, {"a"}, {ve("x", "a")}), c) is None
+        assert find_witness_bruteforce(c, c) == identity_witness(c)
 
     def test_long_list_without_recursion(self, tmp_path):
         # One search level per node: 1,100 levels is deeper than the
@@ -525,7 +527,7 @@ class TestIsomorphic:
         assert isomorphic(r1, r2) and isomorphic(c, r2)
 
     def test_undeclared_endpoint_is_an_unknown_node_error(self):
-        # Equal but for the undeclared targets, which no renaming of nodes relates.
+        # Neither component can be built, so isomorphic never meets one.
         with pytest.raises(UnknownNodeError) as exc:
             isomorphic(_to_undeclared("zz"), _to_undeclared("yy"))
         assert exc.value.code == "UnknownNode"
