@@ -303,10 +303,8 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except MemoryError:  # it carries no message: name the command and what it read
-        inputs = ", ".join(getattr(args, name) for name in args.inputs)
-        print(f"error: OutOfMemory: {args.command} ran out of memory on {inputs}", file=sys.stderr)
-        return INPUT_ERROR
+    except MemoryError:  # it has no message; name the command and its inputs below,
+        pass  # once its traceback has let go of what filled memory
     except InternalInvariantError as exc:
         print(f"internal error: {exc.code}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
@@ -316,6 +314,9 @@ def run(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
+    inputs = ", ".join(getattr(args, name) for name in args.inputs)
+    print(f"error: OutOfMemory: {args.command} ran out of memory on {inputs}", file=sys.stderr)
+    return INPUT_ERROR
 
 
 def main():

@@ -27,6 +27,7 @@ from .model import (
     TreeEdge,
     VarEdge,
     _tokens_ok,
+    edge_keys,
     first_id_clash,
 )
 from .witness import EdgeImages, Witness
@@ -125,17 +126,11 @@ def _refuse_edge(row, path: str, kind: type, layout: Layout, firsts: dict, nodes
     raise _bad_label(row[2], path)  # only a tree row's label is left
 
 
-_LABELS = {"l": 0, "r": 1}
-
-
-def _row_keys(rows: list, arity: int, firsts: dict, rank: dict):
-    """The keys of edge rows, ids ranked by ``firsts`` then ``rank``; None for a bad row."""
-    n = len(rank)
+def _row_keys(rows: list, labeled: bool, firsts: dict, rank: dict):
+    """The :func:`edge_keys` of edge rows that are lists; None for a bad row."""
     if set(map(type, rows)) <= {list}:
         try:  # unpacking refuses a row of another arity with a ValueError
-            if arity == 2:
-                return [firsts[a] * n + rank[b] for a, b in rows]
-            return [(rank[a] * n + rank[b]) * 2 + _LABELS[t] for a, b, t in rows]
+            return edge_keys(rows, firsts, rank, labeled)
         except (KeyError, TypeError, ValueError):  # an undeclared or unhashable id or label
             pass
     return None
@@ -171,18 +166,18 @@ def _parse_component(doc, path: str) -> Component:
     # and location that name what is wrong with it.
     tree = layout is Layout.T
     keys: list = [[], [], []]  # node, tree and variable edges, as in RankedCore
-    for key, kind, arity, firsts, slot in (
-        ("var_edges", VarEdge, 2, var_rank, 2),
-        ("node_edges", TreeEdge if tree else NodeEdge, 3 if tree else 2, rank, int(tree)),
+    for key, kind, labeled, firsts, slot in (
+        ("var_edges", VarEdge, False, var_rank, 2),
+        ("node_edges", TreeEdge if tree else NodeEdge, tree, rank, int(tree)),
     ):
         rows, converted = _require_list(obj[key], f"{path}.{key}"), []
         while rows:  # a block at a time from the end, each dropped once converted
             block = rows[-_CHUNK:]
             del rows[-_CHUNK:]
-            block_keys = _row_keys(block, arity, firsts, rank)
+            block_keys = _row_keys(block, labeled, firsts, rank)
             if block_keys is None:  # every row after the block is good
                 for i, row in enumerate(rows + block):
-                    if _row_keys([row], arity, firsts, rank) is None:
+                    if _row_keys([row], labeled, firsts, rank) is None:
                         _refuse_edge(row, f"{path}.{key}[{i}]", kind, layout, firsts, rank)
             converted += block_keys
         keys[slot] = sorted(dict.fromkeys(converted))
@@ -338,21 +333,19 @@ def _put_witness(out: list, w: Witness):
     out.append("{" + _INDENT[3] + '"node_map": ')
     yield from _put_array(out, map("{}: {}".format, names, images), 3, "{}")
     out.append("," + _INDENT[3] + '"edge_map": ')
-    # Each entry is a [source edge, image edge] pair; an edge is its own
-    # array, and source edges are distinct, so the entries come in the
-    # canonical order of their source edges: the key order of their core.
+    # Each entry is a [source edge, image edge] pair, an edge its own array,
+    # in the canonical order of the distinct source edges: the key order of
+    # a view's core, and ``sorted()`` of the keys of any other edge map.
     edge, field = _INDENT[5], _INDENT[6]
     sep = "," + field
     opening, middle = "[" + edge + "[" + field, edge + "]," + edge + "[" + field
     close = edge + "]" + _INDENT[4] + "]"
-    if type(edge_map) is EdgeImages:
+    view = type(edge_map) is EdgeImages and edge_map.node_map is node_map
+    if view and edge_map.component._core.ids == keys:
         # Each image is the edge between its ends' images.  An entry is one
-        # format over the quoted names of the source edge's ranks and of
-        # their images, the node map's own when its keys are the core's ids.
-        core, view = edge_map.component._core, edge_map.node_map
-        if core.ids != keys or view is not node_map:
-            names = [quoted.get(n) or _quote(n) for n in core.ids]
-            images = [quoted.get(i) or _quote(i) for i in map(view.__getitem__, core.ids)]
+        # format over the node map's own quoted keys and images, which are
+        # the quoted names of the source edge's ranks and of their images.
+        core = edge_map.component._core
         (node_keys, tree_keys, var_keys), n = core.keys, len(core.ids)
         m = n * 2
         var_names = list(map(_quote, core.vars))
@@ -377,7 +370,7 @@ def _put_witness(out: list, w: Witness):
     else:
         entries = (
             opening + sep.join(map(_quote, e)) + middle + sep.join(map(_quote, edge_map[e])) + close
-            for e in RankedCore.from_edges((), (), edge_map).edges()
+            for e in sorted(edge_map)
         )
     yield from _put_array(out, entries, 3)
     out.append(_INDENT[2] + "}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Iterable
 
@@ -53,7 +53,7 @@ class Edge(tuple):
         return self[1:]
 
     def __str__(self):
-        return "(" + ",".join(self[1:]) + ")"
+        return "(" + ",".join(map(str, self[1:])) + ")"
 
 
 class VarEdge(Edge):
@@ -157,8 +157,8 @@ class RankedCore:
     ``ids`` (``vars``).  With n = len(ids), ``keys`` holds three sorted,
     repeat-free lists, which in turn give the canonical edge order: node
     edges a->b as ``a * n + b``, labeled ones as ``(a * n + b) * 2`` plus
-    0 for "l" or 1 for "r", and variable edges v->b as ``v * n + b``.  A
-    core built from an edge set ranks every id its edges name.
+    0 for "l" or 1 for "r", and variable edges v->b as ``v * n + b``, as
+    :func:`edge_keys` encodes them.  A component's core ranks its declared ids.
     """
 
     __slots__ = ("ids", "vars", "keys")
@@ -166,15 +166,6 @@ class RankedCore:
 
     def __init__(self, ids: list, vars: list, keys: tuple):
         self.ids, self.vars, self.keys = ids, vars, keys
-
-    @classmethod
-    def from_edges(cls, nodes, vars, edges) -> RankedCore:
-        ids = sorted({*nodes, *(x for e in edges for x in e.ends)})
-        var_ids = sorted({*vars, *(e[1] for e in edges if type(e) is VarEdge)})
-        rank, var_rank = dict(zip(ids, range(len(ids)))), dict(zip(var_ids, range(len(var_ids))))
-        by_kind = ([e for e in edges if type(e) is kind] for kind in cls.kinds)
-        keys = (edge_keys(k, es, rank, var_rank, len(ids)) for k, es in enumerate(by_kind))
-        return cls(ids, var_ids, tuple(map(sorted, keys)))
 
     def __len__(self) -> int:
         return sum(map(len, self.keys))
@@ -203,14 +194,17 @@ class RankedCore:
         return [var_image[k // n] * m + image[k % n] for k in keys]
 
 
-def edge_keys(kind: int, edges, rank: dict, var_rank: dict, n: int) -> list:
-    """The keys of ``edges``, all of kind ``kind``, over the ranks of n ids (as in
-    :class:`RankedCore`); a KeyError names an id that ``rank`` or ``var_rank`` lacks."""
-    if kind == 0:
-        return [rank[a] * n + rank[b] for _, a, b in edges]
-    if kind == 1:
-        return [(rank[a] * n + rank[b]) * 2 + (label == "r") for _, a, b, label in edges]
-    return [var_rank[v] * n + rank[b] for _, v, b in edges]
+_LABELS = {"l": 0, "r": 1}
+
+
+def edge_keys(rows, firsts: dict, rank: dict, labeled: bool = False) -> list:
+    """The :class:`RankedCore` keys of rows ``(a, b)``, or ``(a, b, label)`` when ``labeled``,
+    a ranked by ``firsts`` and b by ``rank`` (n = len(rank)); a KeyError or TypeError
+    names an id or label they lack, and a row of another arity raises ValueError."""
+    n = len(rank)
+    if labeled:
+        return [(firsts[a] * n + rank[b]) * 2 + _LABELS[label] for a, b, label in rows]
+    return [firsts[a] * n + rank[b] for a, b in rows]
 
 
 class Component(Value):
@@ -218,35 +212,43 @@ class Component(Value):
 
     A component holds what a heap document can: token ids, none both a
     variable and a node, and edges of its layout's kind between declared
-    ids.  The constructor refuses anything else, because nothing
-    downstream can cope without it: an item that is no edge raises
-    TypeError, an edge with an undeclared endpoint UnknownNodeError, and
-    a labeled edge outside a tree or a plain one inside it ValueError,
-    each naming the smallest such item.  Graph shape (reachability,
-    branching, cycles) is left to :func:`validate_component`, so that
-    broken structures can be represented and diagnosed.
+    ids.  The constructor refuses the rest, which nothing downstream copes
+    with: a ``str`` for ``vars`` or ``nodes`` or an item that is no edge
+    raises TypeError, an edge with an undeclared endpoint UnknownNodeError,
+    and a labeled edge outside a tree or a plain one inside it ValueError.
+    Items are checked as given, before equal ones collapse, and the first
+    offender by the text of its fields is named.  Graph shape (reachability,
+    branching, cycles) is left to :func:`validate_component`.
 
-    A parsed or abstracted component holds a :class:`RankedCore` and
-    builds ``edges`` when first read; one built from ``edges`` builds its
-    core when it is constructed.
+    Every component holds a :class:`RankedCore`, keyed as ``parse_heap``
+    keys one, and builds ``edges`` from it when first read.
     """
 
     _fields = ("layout", "vars", "nodes", "edges")
     __slots__ = ("layout", "vars", "nodes", "_edges", "_core")
 
     def __init__(self, layout: Layout, vars=frozenset(), nodes=frozenset(), edges=frozenset()):
-        for name, value in zip(self.__slots__, (layout, vars, nodes, frozenset(edges), None)):
+        if isinstance(vars, str) or isinstance(nodes, str):
+            raise TypeError(f"vars and nodes are collections of ids, not str: {vars!r}, {nodes!r}")
+        for name, value in zip(self.__slots__, (layout, vars, nodes, None, None)):
             _setattr(self, name, value)
         self.__post_init__()
-        nodes, vars, edges = self.nodes, self.vars, self._edges
-        odd = [e for e in edges if type(e) not in RankedCore.kinds]
+        items = list(edges)
+        odd = [e for e in items if type(e) not in RankedCore.kinds]
         if odd:
             raise TypeError(f"not an edge: {min(map(repr, odd))}")
-        core = RankedCore.from_edges(nodes, vars, edges)
-        if len(core.ids) > len(nodes) or len(core.vars) > len(vars):  # the core ranks every id
-            bad = [e for e in edges if not nodes.issuperset(e.ends)]
-            bad += [e for e in edges if type(e) is VarEdge and e.var not in vars]
-            raise UnknownNodeError(f"edge {min(bad)} has an undeclared endpoint")
+        ids, var_ids = sorted(self.nodes), sorted(self.vars)
+        rank, var_rank = dict(zip(ids, count())), dict(zip(var_ids, count()))
+        firsts = {NodeEdge: rank, TreeEdge: rank, VarEdge: var_rank}  # RankedCore.kinds, in order
+        try:
+            rows = ([e[1:] for e in items if type(e) is k] for k in firsts)
+            keys = [edge_keys(r, firsts[k], rank, k is TreeEdge) for r, k in zip(rows, firsts)]
+        except (KeyError, TypeError):  # an endpoint, hashable or not, that is not declared
+            bad = [e for e in items if not all(isinstance(x, str) for x in e[1:3])
+                   or e[1] not in firsts[type(e)] or e[2] not in rank]
+            e = min(bad, key=lambda e: tuple(map(str, e)))
+            raise UnknownNodeError(f"edge {e} has an undeclared endpoint") from None
+        core = RankedCore(ids, var_ids, tuple(sorted(set(k)) for k in keys))
         wrong = int(self.layout is not Layout.T)  # the node-edge kind the layout does not take
         if core.keys[wrong]:
             e = core.decode(wrong, core.keys[wrong][:1])[0]
@@ -316,6 +318,9 @@ class Heap(Value):
 
     def __init__(self, components: tuple = ()):
         _setattr(self, "components", tuple(components))
+        odd = [c for c in self.components if not isinstance(c, Component)]
+        if odd:
+            raise TypeError(f"not a component: {odd[0]!r}")
         clash = first_id_clash(self.components)
         if clash:
             i, kind, ids = clash

@@ -130,7 +130,7 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
     target's, followed by one rank for each other id they name (``_NO_IMAGE``,
     an unmapped node's image, among them), so ids outside the target stay
     apart.  The edge map is judged in blocks of (source kind, image kind,
-    source keys, image edges), the images None where they are the forced ones.
+    source keys, image rows), the rows None where the images are the forced ones.
     """
     s_core, t_core = source._core, target._core
     view = isinstance(edge_map, EdgeImages) and edge_map.component is source
@@ -140,10 +140,10 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
         found, blocks = _entries(source, edge_map)
     named = list(map(node_map.get, s_core.ids, repeat(_NO_IMAGE)))
     node_ids, var_ids = [named], [s_core.vars]
-    for _, j, _, images in blocks:
-        if images:
-            (var_ids if j == 2 else node_ids).append([e[1] for e in images])
-            node_ids.append([e[2] for e in images])
+    for _, j, _, rows in blocks:
+        if rows:
+            (var_ids if j == 2 else node_ids).append([r[0] for r in rows])
+            node_ids.append([r[1] for r in rows])
     ext, ext_vars = dict(zip(t_core.ids, count())), dict(zip(t_core.vars, count()))
     for ranks, ids in (ext, node_ids), (ext_vars, var_ids):
         other = dict.fromkeys(filterfalse(ranks.__contains__, chain.from_iterable(ids)))
@@ -164,7 +164,8 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
             covered[j] = None
             continue
         present[j] = present[j] or set(have[j])
-        images = forced if images is None else edge_keys(j, images, ext, ext_vars, size)
+        firsts = ext_vars if j == 2 else ext
+        images = forced if images is None else edge_keys(images, firsts, ext, j == 1)
         covered[j].update(images)
         if images is forced and present[j].issuperset(images):
             continue
@@ -188,7 +189,7 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
 def _entries(source: Component, edge_map) -> tuple:
     """The findings of an edge map that need no image (source edges it leaves
     unmapped, and its edges that are not the source's), and blocks of
-    (source kind, image kind, source keys, image edges) for the rest.  An
+    (source kind, image kind, source keys, image rows) for the rest.  An
     image that is neither None nor an edge raises a TypeError."""
     core, found, blocks = source._core, [], []
     for k, keys in enumerate(core.keys):
@@ -196,7 +197,7 @@ def _entries(source: Component, edge_map) -> tuple:
         images = list(map(edge_map.get, edges))
         for j, kind in enumerate(RankedCore.kinds):
             picked = [x for x, i in enumerate(images) if type(i) is kind]
-            blocks.append((k, j, [keys[x] for x in picked], [images[x] for x in picked]))
+            blocks.append((k, j, [keys[x] for x in picked], [images[x][1:] for x in picked]))
         for e, i in zip(edges, images):
             if i is None:
                 found.append((e, "EdgeMapNotTotal", f"edge {e} is unmapped"))

@@ -102,6 +102,27 @@ class TestConstruction:
                 comp(Layout.SLL, nodes={"a", "b"}, edges=[ne("a", "b"), odd])
         with pytest.raises(TypeError, match=r"^not an edge: \('node', 'a', 'b'\)$"):
             comp(Layout.SLL, vars={"v"}, nodes={"a", "b"}, edges={("var", "v", "a"), ("node", "a", "b")})
+        # A plain tuple equals the edge with its row; the items are checked
+        # before equal ones collapse, so it is refused in either order.
+        items = [ne("a", "b"), ("node", "a", "b")]
+        for edges in (items, items[::-1]):
+            with pytest.raises(TypeError, match=r"^not an edge: \('node', 'a', 'b'\)$"):
+                Component(Layout.SLL, set(), {"a", "b"}, edges)
+
+    def test_str_ids_refused(self):
+        # A str is a collection of one-letter ids; taking it so would build
+        # the variables h, e, a and d.
+        with pytest.raises(TypeError, match=r"^vars and nodes are collections of ids, not str"):
+            Component(Layout.SLL, "head", {"n1"}, [ve("h", "n1")])
+        with pytest.raises(TypeError, match=r"^vars and nodes are collections of ids, not str"):
+            Component(Layout.SLL, {"h"}, "n1", [ve("h", "n1")])
+
+    def test_heap_refuses_items_that_are_not_components(self):
+        a = comp(Layout.SLL, nodes={"n0"})
+        with pytest.raises(TypeError, match=r"^not a component: 1$"):
+            Heap((1,))
+        with pytest.raises(TypeError, match=r"^not a component: \('n0',\)$"):
+            Heap((a, ("n0",)))
 
 
 # Ids that a component below may or may not declare; "zz" and "w" never are.
@@ -446,6 +467,13 @@ class TestValidateComponent:
         # The smallest such edge is named: node edges sort before variable edges.
         with pytest.raises(UnknownNodeError, match=r"^edge \(b,zz\) has an undeclared endpoint$"):
             comp(Layout.SLL, nodes={"a", "b"}, edges={ve("ghost", "a"), ne("b", "zz"), ne("a", "b")})
+        # An endpoint that is not a string, hashable or not, is never declared;
+        # the edges are ordered by the text of their fields.
+        for src in (1, ["x"]):
+            with pytest.raises(UnknownNodeError, match=rf"^edge \({re.escape(str(src))},a\) has an"):
+                Component(Layout.SLL, set(), {"a", "b"}, [ne(src, "a")])
+        with pytest.raises(UnknownNodeError, match=r"^edge \(\['x'\],a\) has an undeclared endpoint$"):
+            Component(Layout.SLL, set(), {"a"}, [ne("a", 1), ne(["x"], "a")])
 
     def test_unreachable_sll_node(self):
         c = comp(

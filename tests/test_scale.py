@@ -4,15 +4,23 @@ Each heap has one variable on its head or root, so the closed-form output
 size follows from the layout alone.  Components of 10^5 nodes must
 abstract correctly within a wall-time bound, and the witness of one must
 check within another.  The writers are checked to hold a bounded part of
-a large document at a time.
+a large document at a time, and a command short of memory must end in a
+coded error.
 """
 
 import json
+import os
+import re
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import heapabstract
 from heapabstract import (
     Component,
     Heap,
@@ -139,3 +147,86 @@ def test_writing_is_bounded(document, tmp_path):
             tracemalloc.stop()
     assert peak < len(text) / 4
     assert path.read_text(encoding="utf-8") == text
+
+
+
+MB = 2**20
+# Runs the CLI on its arguments, then writes the process status, whose
+# VmPeak line is its peak address-space size, to stderr.
+_PEAK = """import sys
+from heapabstract.cli import run
+code = run(sys.argv[1:])
+sys.stderr.write(open("/proc/self/status").read())
+sys.exit(code)"""
+
+
+def _child(args, limit=None) -> tuple:
+    """Exit status and stderr of ``python *args`` in a child process, its
+    address space capped at ``limit`` bytes when given."""
+    src = str(Path(heapabstract.__file__).resolve().parents[1])
+
+    def cap():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        preexec_fn=cap if limit else None,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def import_floor():
+    """The lowest address-space limit, to 64 KB, at which the CLI module imports."""
+    low, high = 0, 256 * MB
+    while high - low > 64 * 1024:
+        mid = (low + high) // 2
+        if _child(["-c", "import heapabstract.cli"], mid)[0] == 0:
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command", ["abstract", "check-witness", "validate"])
+def test_out_of_memory_is_an_input_error(command, import_floor, tmp_path):
+    # Each command on the 10^4-node DAG, under six address-space limits
+    # from just above the import floor to above its peak, ends in success
+    # or in the OutOfMemory error (exit 2), and leaves no file behind.  A
+    # failed import is the interpreter's exit 1, and within a megabyte or
+    # so of the floor the import can still fail (with Python 3.10, at the
+    # floor plus 1 MB but not plus 0.5 or 1.25 MB), so the limits start 2 MB up.
+    heap, out, wit, staged = (tmp_path / n for n in ("heap.json", "out.json", "w.json", "staged"))
+    _write_heap(heap, Layout.DAG, 10_000, _dag_arcs(10_000))
+    cli = ["-m", "heapabstract.cli"]
+    assert _child([*cli, "abstract", str(heap), "--out", str(out), "--witness", str(wit)])[0] == 0
+    staged.mkdir()
+    inputs = {
+        "abstract": [str(heap)],
+        "check-witness": [str(heap), str(out), str(wit)],
+        "validate": [str(heap)],
+    }[command]
+    outputs = ["--out", str(staged / "o.json"), "--witness", str(staged / "w.json")]
+    argv = [command, *inputs, *(outputs if command == "abstract" else [])]
+    status, err = _child(["-c", _PEAK, *argv])
+    assert status == 0
+    peak = int(re.search(r"VmPeak:\s*(\d+) kB", err)[1]) * 1024
+    start, top = import_floor + 2 * MB, peak * 5 // 4
+    expected = f"error: OutOfMemory: {command} ran out of memory on {', '.join(inputs)}\n"
+    statuses = []
+    for limit in (int(start * (top / start) ** (i / 5)) for i in range(6)):
+        for f in staged.iterdir():  # what the last successful run wrote
+            f.unlink()
+        status, err = _child([*cli, *argv], limit)
+        assert status in (0, 2), (limit, status, err)
+        if status == 2:
+            assert err == expected
+        written = sorted(f.name for f in staged.iterdir())
+        assert written == (["o.json", "w.json"] if status == 0 and command == "abstract" else [])
+        statuses.append(status)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["heap.json", "out.json", "staged", "w.json"]
+    assert statuses[0] == 2 and statuses[-1] == 0
