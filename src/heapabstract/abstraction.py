@@ -108,24 +108,22 @@ def _merge_chain(index: ComponentIndex, ordinary: list) -> tuple:
 
 
 def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
-    """Tree merges: fold collapsed child pairs into their parents, bottom-up.
+    """Tree merges: fold each binary node's collapsed child pair into it, bottom-up.
 
     Levels are processed bottom-up (depths are frozen at entry); the root
-    level never absorbs.  At level i, an ordinary parent whose l/r
-    children are distinct ordinary nodes absorbs them provided the pair
-    is detachable: every edge touching them that survives so far stays
-    inside the trio (no variable points at them: pointed nodes are
-    special).  Without that proviso a merge could orphan a deeper special
-    node and the output would not abstract the input.
+    level never absorbs.  An ordinary parent whose ordinary children are
+    exactly one ``l`` child and one ``r`` child, two distinct nodes, is a
+    binary-tree node.  It absorbs that one pair if the pair is detachable:
+    every edge touching it that survives so far stays inside the trio (no
+    variable points at it: pointed nodes are special), or a merge could
+    orphan a deeper special node.  Any other parent folds nothing, so no
+    pair is ever chosen by its names.
 
-    A level is settled in one pass, parents in ascending rank, each
-    merging a detachable pair not yet absorbed as soon as it finds it;
-    this repeats "merge the smallest triple" exactly.  A valid tree holds
-    only labeled edges, so ``out[a]`` lists children by ascending rank and
-    the pass meets the level's triples in sorted order.  No merge changes
-    whether another triple of the level is detachable: an absorbed child's
-    edges stay inside its own trio, so a candidate child with an edge to
-    it is its sibling, already absorbed.
+    A level is settled in one pass.  An ordinary node has no edge up to or
+    across its own level, so a pair is detachable exactly when its parent
+    is its only one and its children are all absorbed.  No merge of this
+    level changes that, so the order of its parents does not matter, and
+    a child, having one parent, is absorbed at most once.
     """
     depths, out, into, tags = index.depths, index.out, index.into, index.tags
     absorbed: set = set()
@@ -141,18 +139,12 @@ def _merge_tree(index: ComponentIndex, ordinary: list) -> tuple:
             for b, tag in zip(out[a], tags[a]):
                 if b in members:
                     (left if tag == "l" else right).append(b)
-            for b in left:
-                for c2 in right:
-                    if b != c2 and b not in absorbed and c2 not in absorbed:
-                        # Detachable: each edge of b and c2 (none is a self
-                        # edge) stays in the trio or reaches an absorbed node.
-                        trio = (a, b, c2)
-                        for x in (*out[b], *into[b], *out[c2], *into[c2]):
-                            if x not in trio and x not in absorbed:
-                                break
-                        else:
-                            absorbed.update((b, c2))
-                            log.append((a, (b, c2)))
+            if len(left) != 1 or len(right) != 1 or left == right:
+                continue
+            (b,), (c2,) = left, right
+            if into[b] == into[c2] == [a] and absorbed.issuperset(out[b] + out[c2]):
+                absorbed.update((b, c2))
+                log.append((a, (b, c2)))
     return log, len(ordinary) // 2 * 2
 
 

@@ -30,7 +30,7 @@ from .model import (
     edge_keys,
     first_id_clash,
 )
-from .witness import EdgeImages, Witness
+from .witness import EdgeImages, Witness, _edge_image
 
 _HEAP_KEYS = ("layout", "variables", "nodes", "var_edges", "node_edges")
 
@@ -367,10 +367,11 @@ def _put_witness(out: list, w: Witness):
             for k in var_keys
         )
         entries = chain(node_rows, tree_rows, var_rows)
-    else:
+    else:  # an unmapped (None) image gets no entry
+        pairs = ((e, _edge_image(e, edge_map[e])) for e in sorted(edge_map))
         entries = (
-            opening + sep.join(map(_quote, e)) + middle + sep.join(map(_quote, edge_map[e])) + close
-            for e in sorted(edge_map)
+            opening + sep.join(map(_quote, e)) + middle + sep.join(map(_quote, i)) + close
+            for e, i in pairs if i is not None
         )
     yield from _put_array(out, entries, 3)
     out.append(_INDENT[2] + "}")

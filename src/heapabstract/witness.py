@@ -199,14 +199,19 @@ def _entries(source: Component, edge_map) -> tuple:
             picked = [x for x, i in enumerate(images) if type(i) is kind]
             blocks.append((k, j, [keys[x] for x in picked], [images[x][1:] for x in picked]))
         for e, i in zip(edges, images):
-            if i is None:
+            if _edge_image(e, i) is None:
                 found.append((e, "EdgeMapNotTotal", f"edge {e} is unmapped"))
-            elif type(i) not in RankedCore.kinds:
-                raise TypeError(f"edge {e} maps to {i!r}, which is not an edge")
     if len(edge_map) > sum(len(keys) for _, _, keys, _ in blocks):  # it maps a non-source edge
         unknown = edge_map.keys() - source.edges
         found += [(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge") for e in unknown]
     return found, blocks
+
+
+def _edge_image(e, i):
+    """The image ``i`` of edge ``e`` if an edge or None (unmapped); else a TypeError."""
+    if i is None or type(i) in RankedCore.kinds:
+        return i
+    raise TypeError(f"edge {e} maps to {i!r}, which is not an edge")
 
 
 def identity_witness(c: Component) -> Witness:
@@ -221,16 +226,15 @@ def compose(w1: Witness, w2: Witness) -> Witness:
     Valid abstraction is transitive, and composition is how the combined
     certificate is built: both maps compose pointwise.
     """
-    # A failure names the smallest missing node, else the smallest missing
-    # edge, whatever order the maps were built in.
+    # A None image (an unmapped edge) stays None.  A failure names the smallest
+    # missing node, else edge, whatever order the maps were built in.
+    maps = []
     for what, m1, m2 in ("node", w1.node_map, w2.node_map), ("edge", w1.edge_map, w2.edge_map):
-        gap = set(m1.values()) - m2.keys()
+        gap = set(m1.values()) - m2.keys() - {None}
         if gap:
             raise DomainMismatchError(f"{what} {min(gap)} is not in the second witness's domain")
-    return Witness(
-        {n: w2.node_map[m] for n, m in w1.node_map.items()},
-        {e: w2.edge_map[f] for e, f in w1.edge_map.items()},
-    )
+        maps.append({k: None if f is None else m2[f] for k, f in m1.items()})
+    return Witness(*maps)
 
 
 def find_witness_bruteforce(source: Component, target: Component, node_budget: int = 8):

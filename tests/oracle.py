@@ -232,18 +232,17 @@ def _abstract_tree(c: Component) -> tuple:
     work, parent, log = c, {}, []
     for level in range(height(c) - 1, 0, -1):
         while True:
-            left, right = defaultdict(list), defaultdict(list)
+            kids = defaultdict(list)  # each ordinary parent's ordinary children, by label
             for e in work.edges:
-                if isinstance(e, TreeEdge) and e.src in members and depths[e.src] == level:
-                    (left if e.label == "l" else right)[e.src].append(e.dst)
+                if isinstance(e, TreeEdge) and e.src != e.dst and {e.src, e.dst} <= members:
+                    if depths[e.src] == level:
+                        kids[e.src].append((e.label, e.dst))
+            # One candidate per binary-tree node: one l child and one r child.
+            pairs = {a: sorted(labeled) for a, labeled in kids.items() if len(labeled) == 2}
             triples = [
                 (a, b, c2)
-                for a in left.keys() & right.keys()
-                for b in left[a]
-                for c2 in right[a]
-                if len({a, b, c2}) == 3
-                and {b, c2} <= members
-                and _detachable(work, a, b, c2)
+                for a, [(lb, b), (lc, c2)] in pairs.items()
+                if (lb, lc) == ("l", "r") and b != c2 and _detachable(work, a, b, c2)
             ]
             if not triples:
                 break

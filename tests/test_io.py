@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from heapabstract import (
     ModelError,
     ParseError,
     SchemaError,
+    Witness,
     abstract_component,
     check_valid_abstraction,
     export_dot,
@@ -342,6 +344,25 @@ class TestWitnessDocuments:
         text = serialize_witnesses(witnesses)
         assert parse_witnesses(text) == witnesses
         assert serialize_witnesses(parse_witnesses(text)) == text
+
+    @pytest.mark.parametrize("image", [None, ("a", "b"), "ab", 5, ("node", "a", "b")])
+    def test_writer_refuses_what_the_checker_refuses(self, image):
+        # An unmapped (None) image gets no entry, so the witness read back
+        # has the same findings; any other image that is not an edge makes
+        # the writer raise the checker's TypeError.
+        c = comp(Layout.SLL, {"x"}, {"a", "b"}, {ve("x", "a"), ne("a", "b")})
+        w = Witness({"a": "a", "b": "b"}, {ve("x", "a"): ve("x", "a"), ne("a", "b"): image})
+        if image is None:
+            [back] = parse_witnesses(serialize_witnesses([w]))
+            assert back.edge_map == {ve("x", "a"): ve("x", "a")}
+            found = check_valid_abstraction(c, c, w)
+            assert [v.code for v in found] == ["EdgeMapNotTotal", "EdgeMapNotOnto"]
+            assert check_valid_abstraction(c, c, back) == found
+            return
+        message = rf"^edge \(a,b\) maps to {re.escape(repr(image))}, which is not an edge$"
+        for refuse in (lambda: check_valid_abstraction(c, c, w), lambda: serialize_witnesses([w])):
+            with pytest.raises(TypeError, match=message):
+                refuse()
 
     def test_parsed_edges_share_one_object_per_id(self):
         # Root, then layers of eight nodes, complete bipartite between layers.

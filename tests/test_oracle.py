@@ -4,7 +4,9 @@ The oracle (``oracle.py``) is the original merge-by-merge implementation.
 Output components, witnesses and merge logs must be identical, and so
 must the special/ordinary classification, on the fixtures, the golden
 file, the acceptance corpora, a corpus of larger components, and the
-re-abstraction of every output.  A second test counts how often one CLI
+re-abstraction of every output.  On the same corpora, renaming a
+component's nodes must rename its output up to isomorphism, and a tree's
+output must abstract to itself.  A further test counts how often one CLI
 run of ``abstract`` or ``classify`` builds indexes, validates, classifies
 and constructs components.  A third judges corrupted witnesses with the
 library's checker and with the oracle's edge-by-edge one.
@@ -12,12 +14,13 @@ library's checker and with the oracle's edge-by-edge one.
 
 import cProfile
 import random
+from itertools import chain
 
 import pytest
 
 import oracle
 from conftest import GOLDEN_DIR, load_component
-from genheaps import GENERATORS, comp, ne, random_component, relabel, te, ve
+from genheaps import GENERATORS, comp, ne, random_component, random_relabeling, relabel, te, ve
 from heapabstract import (
     Component,
     Heap,
@@ -28,6 +31,7 @@ from heapabstract import (
     Witness,
     abstract_component,
     check_valid_abstraction,
+    isomorphic,
     node_classes,
     parse_heap,
     parse_witnesses,
@@ -110,8 +114,9 @@ def _chorded_ring(n, chords, rng):
 def _perfect_tree(levels, chords, extra, rng):
     # Heap-ordered ids: node i has children 2i+1 and 2i+2.  Chords join
     # nodes of equal depth or point back up, and extra leaves hang off the
-    # last inner level as further l/r children (so triples can share a
-    # child); either way the tree stays valid.
+    # last inner level as further l/r children (so a parent can have two
+    # children of one label, and folds nothing); either way the tree stays
+    # valid.
     n = 2**levels - 1
     nodes = [f"t{i:03d}" for i in range(n)]
     edges = {ve("R", nodes[0])}
@@ -135,12 +140,36 @@ def test_fixtures_and_golden_match_oracle():
         _assert_matches_with_reabstraction(c)
 
 
+def _acceptance_corpus(layout):
+    rng = random.Random(ACCEPTANCE_SEEDS[layout])
+    return [random_component(rng, layout, max_nodes=30) for _ in range(1000)]
+
+
+def _large_corpus():
+    rng = random.Random(505)
+    for layout in Layout:
+        for _ in range(100):
+            yield random_component(rng, layout, max_nodes=120)
+    for n in (2, 3, 17, 120):
+        yield _unpointed_ring(n)
+    for branches in (1, 2, 3):
+        for length in (1, 3, 10):
+            yield _converging_list(branches, length, rng)
+    for _ in range(200):
+        yield _converging_forest(rng.randint(2, 60), rng)
+    for _ in range(150):
+        n = rng.randint(3, 60)
+        yield _chorded_ring(n, rng.randint(1, 4), rng)
+    for levels in (2, 4, 7):
+        for chords in (0, 1, 3):
+            for extra in (0, 2, 12):
+                yield _perfect_tree(levels, chords, extra, rng)
+
+
 def test_acceptance_corpora_match_oracle():
     for layout, seed in ACCEPTANCE_SEEDS.items():
-        rng = random.Random(seed)
         ids_rng = random.Random(-seed)
-        for _ in range(1000):
-            c = random_component(rng, layout, max_nodes=30)
+        for c in _acceptance_corpus(layout):
             _assert_matches_with_reabstraction(c)
             # The same component under ids given in no particular order, so
             # that every tie-break and the merge log follow code-point order.
@@ -149,24 +178,8 @@ def test_acceptance_corpora_match_oracle():
 
 
 def test_large_components_match_oracle():
-    rng = random.Random(505)
-    for layout in Layout:
-        for _ in range(100):
-            _assert_matches_with_reabstraction(random_component(rng, layout, max_nodes=120))
-    for n in (2, 3, 17, 120):
-        _assert_matches_with_reabstraction(_unpointed_ring(n))
-    for branches in (1, 2, 3):
-        for length in (1, 3, 10):
-            _assert_matches_with_reabstraction(_converging_list(branches, length, rng))
-    for _ in range(200):
-        _assert_matches_with_reabstraction(_converging_forest(rng.randint(2, 60), rng))
-    for _ in range(150):
-        n = rng.randint(3, 60)
-        _assert_matches_with_reabstraction(_chorded_ring(n, rng.randint(1, 4), rng))
-    for levels in (2, 4, 7):
-        for chords in (0, 1, 3):
-            for extra in (0, 2, 12):
-                _assert_matches_with_reabstraction(_perfect_tree(levels, chords, extra, rng))
+    for c in _large_corpus():
+        _assert_matches_with_reabstraction(c)
 
 
 def _branching_tree(n, rng):
@@ -192,18 +205,45 @@ def _branching_tree(n, rng):
     return comp(Layout.T, {"R", *variables}, nodes, edges)
 
 
+def _branching_trees():
+    rng = random.Random(606)
+    for _ in range(400):
+        yield _branching_tree(rng.randint(3, 40), rng)
+
+
 def test_tree_fold_matches_oracle_on_branching_trees():
-    # The fold keeps the left x right product of each parent's children, so
-    # trees whose nodes have two children of one label are compared too,
-    # with the 7-node tree whose output depends on its node names.
+    # Only a binary-tree node folds: a has two l children, so it folds
+    # nothing and both keep their names, whichever sorts first; b's own
+    # pair folds into b.  So the two namings give isomorphic outputs.
     named = {te("R", "a", "l"), te("a", "b", "l"), te("a", "b2", "l"), te("a", "c", "r")}
     named |= {te("b", "e", "l"), te("b", "f", "r"), ve("x", "R")}
     seven = comp(Layout.T, {"x"}, {"R", "a", "b", "b2", "c", "e", "f"}, named)
-    _assert_matches_with_reabstraction(seven)
-    _assert_matches_with_reabstraction(relabel(seven, {"b": "b9", "b2": "b0"}))
-    rng = random.Random(606)
-    for _ in range(400):
-        _assert_matches_with_reabstraction(_branching_tree(rng.randint(3, 40), rng))
+    folded = named - {te("b", "e", "l"), te("b", "f", "r")}
+    folded |= {te("b", "b", "l"), te("b", "b", "r")}
+    expected = comp(Layout.T, {"x"}, {"R", "a", "b", "b2", "c"}, folded)
+    outputs = []
+    for mapping in ({}, {"b": "b9", "b2": "b0"}):
+        output = _assert_matches_oracle(relabel(seven, mapping))
+        assert output == relabel(expected, mapping)
+        _assert_matches_oracle(output)
+        outputs.append(output)
+    assert isomorphic(*outputs)
+    for c in _branching_trees():
+        _assert_matches_with_reabstraction(c)
+
+
+def test_outputs_do_not_depend_on_node_names():
+    # Renaming a component's nodes renames its output, up to isomorphism,
+    # on the acceptance and oracle corpora of every layout.  A tree's
+    # output is its normal form: abstracting it again merges nothing.
+    rng = random.Random(11)
+    corpora = chain(*map(_acceptance_corpus, Layout), _large_corpus(), _branching_trees())
+    for c in corpora:
+        output = abstract_component(c).output
+        mapping = random_relabeling(rng, c)
+        assert isomorphic(abstract_component(relabel(c, mapping)).output, relabel(output, mapping))
+        if c.layout is Layout.T:
+            assert abstract_component(output).merge_log == ()
 
 
 def test_tree_fold_where_two_parents_on_a_level_share_a_child():

@@ -320,29 +320,39 @@ class TestCompose:
             compose(identity_witness(fig1), identity_witness(fig3))
 
     @pytest.mark.parametrize(
-        "keep_nodes, keep_edges, message",
+        "keep_nodes, keep_edges, message, unmapped",
         [
-            (6, False, "edge (n0,n1) is not in the second witness's domain"),
-            (3, True, "node n3 is not in the second witness's domain"),
+            (6, False, "edge (n0,n1) is not in the second witness's domain", None),
+            (3, True, "node n3 is not in the second witness's domain", None),
+            # A None image in w1 (the edge unmapped) composes to None: it is
+            # never missing, nor compared with the images that are.
+            (6, True, None, ne("n2", "n3")),
+            (6, False, "edge (n1,n2) is not in the second witness's domain", ne("n0", "n1")),
         ],
     )
-    def test_domain_mismatch_names_smallest_missing_id(self, keep_nodes, keep_edges, message):
+    def test_domain_mismatch_names_smallest_missing_id(
+        self, keep_nodes, keep_edges, message, unmapped
+    ):
         # The same inputs name the same id, whatever order w1's maps were
         # built in.
         nodes = [f"n{i}" for i in range(6)]
         edges = {ne(a, b) for a, b in zip(nodes, nodes[1:])} | {ve("v", "n0")}
         w = identity_witness(comp(Layout.SLL, {"v"}, nodes, edges))
         w2 = Witness({n: n for n in nodes[:keep_nodes]}, dict(w.edge_map) if keep_edges else {})
+        edge_map = {e: None if e == unmapped else f for e, f in w.edge_map.items()}
         messages = set()
         for reverse in (False, True):
             w1 = Witness(
                 dict(sorted(w.node_map.items(), reverse=reverse)),
-                dict(sorted(w.edge_map.items(), reverse=reverse)),
+                dict(sorted(edge_map.items(), reverse=reverse)),
             )
+            if message is None:
+                assert compose(w1, w2) == Witness(w.node_map, edge_map)
+                continue
             with pytest.raises(DomainMismatchError) as exc:
                 compose(w1, w2)
             messages.add(str(exc.value))
-        assert messages == {message}
+        assert messages == ({message} if message else set())
 
     def test_transitivity_random(self):
         rng = random.Random(37)
