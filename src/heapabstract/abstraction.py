@@ -28,7 +28,7 @@ from .model import (
     _setattr,
     validate_component,
 )
-from .witness import EdgeImages, Witness
+from .witness import Witness
 
 
 class MergeEvent(Value):
@@ -195,7 +195,7 @@ def _quotient(index: ComponentIndex, log: list) -> AbstractionResult:
         output = Component._from_core(c.layout, c.vars, frozenset(out.ids), out)
     else:  # nothing merged: the output is the input
         node_map, output = dict(zip(ids, ids)), c
-    return AbstractionResult(output, Witness(node_map, EdgeImages(c, node_map)), log, _ids=ids)
+    return AbstractionResult(output, Witness._forced(c, node_map), log, _ids=ids)
 
 
 def abstract_component(c: Component) -> AbstractionResult:

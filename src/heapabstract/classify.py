@@ -112,9 +112,12 @@ def node_classes(c: Component, index: ComponentIndex | None = None) -> dict:
     leaving edge, self edges counting as neither.  DAGs have no further
     special nodes.  The nodes appear in ascending id order, and nodes with
     the same reasons share one :class:`NodeClass`.  ``index`` is the
-    component's :class:`ComponentIndex` when the caller has already built it.
+    component's :class:`ComponentIndex` when the caller has already built
+    it; an index of another component raises ValueError.
     """
     index = index or ComponentIndex(c)
+    if index.component is not c:
+        raise ValueError("the index is not this component's")
     masks = [_VAR_POINTED if variables else 0 for variables in index.pointed]
     rule = _LAYOUT_RULES.get(c.layout)
     if rule:

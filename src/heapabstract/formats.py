@@ -30,7 +30,7 @@ from .model import (
     edge_keys,
     first_id_clash,
 )
-from .witness import EdgeImages, Witness, _edge_image
+from .witness import Witness, _edge_image
 
 _HEAP_KEYS = ("layout", "variables", "nodes", "var_edges", "node_edges")
 
@@ -325,7 +325,7 @@ def _witness_from_doc(doc, path: str) -> Witness:
 
 def _put_witness(out: list, w: Witness):
     # A witness is an item of the witnesses array, at depth 2.
-    node_map, edge_map = w.node_map, w.edge_map
+    node_map, source = w.node_map, w._source
     keys = sorted(node_map)
     names = list(map(_quote, keys))
     quoted = dict(zip(keys, names))
@@ -335,17 +335,16 @@ def _put_witness(out: list, w: Witness):
     out.append("," + _INDENT[3] + '"edge_map": ')
     # Each entry is a [source edge, image edge] pair, an edge its own array,
     # in the canonical order of the distinct source edges: the key order of
-    # a view's core, and ``sorted()`` of the keys of any other edge map.
+    # a produced witness's source, and ``sorted()`` of the keys of any other edge map.
     edge, field = _INDENT[5], _INDENT[6]
     sep = "," + field
     opening, middle = "[" + edge + "[" + field, edge + "]," + edge + "[" + field
     close = edge + "]" + _INDENT[4] + "]"
-    view = type(edge_map) is EdgeImages and edge_map.node_map is node_map
-    if view and edge_map.component._core.ids == keys:
+    if source is not None and source._core.ids == keys:
         # Each image is the edge between its ends' images.  An entry is one
         # format over the node map's own quoted keys and images, which are
         # the quoted names of the source edge's ranks and of their images.
-        core = edge_map.component._core
+        core = source._core
         (node_keys, tree_keys, var_keys), n = core.keys, len(core.ids)
         m = n * 2
         var_names = list(map(_quote, core.vars))
@@ -368,6 +367,7 @@ def _put_witness(out: list, w: Witness):
         )
         entries = chain(node_rows, tree_rows, var_rows)
     else:  # an unmapped (None) image gets no entry
+        edge_map = w.edge_map
         pairs = ((e, _edge_image(e, edge_map[e])) for e in sorted(edge_map))
         entries = (
             opening + sep.join(map(_quote, e)) + middle + sep.join(map(_quote, i)) + close

@@ -504,9 +504,12 @@ def validate_component(c: Component, index: ComponentIndex | None = None) -> lis
 
     Self edges mark collapsed regions in abstract components, so they do
     not count against DAG acyclicity.  ``index`` is the component's
-    :class:`ComponentIndex` when the caller has already built it.
+    :class:`ComponentIndex` when the caller has already built it; an index
+    of another component raises ValueError.
     """
     index = index or ComponentIndex(c)
+    if index.component is not c:
+        raise ValueError("the index is not this component's")
     violations: list = []
 
     def flag(code: str, detail: str):

@@ -19,7 +19,6 @@ from .errors import BudgetExceededError, DomainMismatchError
 from .model import (
     Component,
     ComponentIndex,
-    Edge,
     RankedCore,
     Value,
     VarEdge,
@@ -34,40 +33,31 @@ _NO_IMAGE = object()  # what the extended ranks give as an unmapped node's image
 class Witness(Value):
     """Node map and edge map certifying one valid abstraction.
 
-    Treat instances as immutable.  A witness read from a document holds
-    two dicts; one the library produced holds an :class:`EdgeImages` view.
+    Treat instances as immutable.  A witness read from a document or built
+    by hand holds the two maps it was given.  One the library produced holds
+    its node map and its source component, and each read of ``edge_map``
+    builds the dict of the images that node map forces, in canonical order.
     """
 
-    __slots__ = _fields = ("node_map", "edge_map")
+    __slots__ = ("node_map", "_edge_map", "_source")
+    _fields = ("node_map", "edge_map")
 
     def __init__(self, node_map: dict, edge_map: Mapping):
         _setattr(self, "node_map", node_map)
-        _setattr(self, "edge_map", edge_map)
+        _setattr(self, "_edge_map", edge_map)
+        _setattr(self, "_source", None)
 
+    @classmethod
+    def _forced(cls, source: Component, node_map: dict) -> Witness:
+        w = cls(node_map, None)
+        _setattr(w, "_source", source)
+        return w
 
-class EdgeImages(Mapping):
-    """Read-only edge map that a node map forces: ``[e]`` is ``e.image(node_map)``.
-
-    Its keys are the edges of ``component``, so it stores no entry per
-    edge, and its length comes from the component's ranked core; like any
-    mapping it compares equal to the dict with the same items.
-    """
-
-    __slots__ = ("component", "node_map")
-
-    def __init__(self, component: Component, node_map: dict):
-        self.component, self.node_map = component, node_map
-
-    def __getitem__(self, e: Edge) -> Edge:
-        if e not in self.component.edges:
-            raise KeyError(e)
-        return e.image(self.node_map)
-
-    def __iter__(self):
-        return iter(self.component.edges)
-
-    def __len__(self) -> int:
-        return len(self.component._core)
+    @property
+    def edge_map(self) -> Mapping:
+        if self._source is None:
+            return self._edge_map
+        return {e: e.image(self.node_map) for e in self._source._core.edges()}
 
 
 def check_valid_abstraction(source: Component, target: Component, w: Witness) -> list:
@@ -113,7 +103,7 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     for n in sorted(target.nodes - preimages.keys()):
         violations.append(Violation("NodeMapNotOnto", f"target node {n} uncovered"))
 
-    findings, uncovered = _edge_findings(source, target, w.node_map, w.edge_map)
+    findings, uncovered = _edge_findings(source, target, w)
     violations.extend(findings)
     for e in uncovered:
         if not isinstance(e, VarEdge) and e.src == e.dst and preimages[e.src] >= 2:
@@ -123,7 +113,7 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     return violations
 
 
-def _edge_findings(source: Component, target: Component, node_map, edge_map) -> tuple:
+def _edge_findings(source: Component, target: Component, w: Witness) -> tuple:
     """The edge map's findings by source edge, and the target edges its images leave uncovered.
 
     Edges are int keys: source edges over the source's ranks, images over the
@@ -132,12 +122,11 @@ def _edge_findings(source: Component, target: Component, node_map, edge_map) -> 
     apart.  The edge map is judged in blocks of (source kind, image kind,
     source keys, image rows), the rows None where the images are the forced ones.
     """
-    s_core, t_core = source._core, target._core
-    view = isinstance(edge_map, EdgeImages) and edge_map.component is source
-    if view and edge_map.node_map is node_map:  # its images are the forced ones
+    s_core, t_core, node_map = source._core, target._core, w.node_map
+    if w._source is source:  # its images are the forced ones
         found, blocks = [], [(k, k, keys, None) for k, keys in enumerate(s_core.keys)]
     else:
-        found, blocks = _entries(source, edge_map)
+        found, blocks = _entries(source, w.edge_map)
     named = list(map(node_map.get, s_core.ids, repeat(_NO_IMAGE)))
     node_ids, var_ids = [named], [s_core.vars]
     for _, j, _, rows in blocks:
@@ -216,8 +205,7 @@ def _edge_image(e, i):
 
 def identity_witness(c: Component) -> Witness:
     """The witness by which every component abstracts itself."""
-    node_map = {n: n for n in c.nodes}
-    return Witness(node_map, EdgeImages(c, node_map))
+    return Witness._forced(c, dict(zip(c._core.ids, c._core.ids)))
 
 
 def compose(w1: Witness, w2: Witness) -> Witness:
@@ -278,8 +266,7 @@ def find_witness_bruteforce(source: Component, target: Component, node_budget: i
             del assignment[src_nodes[i]]
 
     def accept():
-        node_map = dict(assignment)
-        w = Witness(node_map, EdgeImages(source, node_map))
+        w = Witness._forced(source, dict(assignment))
         return None if check_valid_abstraction(source, target, w) else w
 
     # Depth-first over source nodes in order, one candidate iterator per

@@ -39,7 +39,6 @@ from heapabstract import (
     height,
 )
 from heapabstract.model import _require_layout
-from heapabstract.witness import EdgeImages
 
 
 def _require_nodes(c: Component, *nodes: str):
@@ -338,8 +337,8 @@ def serialize_witnesses(witnesses) -> str:
 def check_valid_abstraction(source: Component, target: Component, w: Witness) -> list:
     """Every violation of ``w`` as a witness from ``source`` onto ``target``, edge by edge.
 
-    A view of the images that this node map forces on these source edges
-    is read as those images; any other edge map is read for its own.
+    A witness produced over ``source`` is read as the images its node map
+    forces; any other witness's edge map is read for its own.
     """
     violations: list = []
 
@@ -372,10 +371,10 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
     for n in sorted(target.nodes - preimages.keys()):
         violations.append(Violation("NodeMapNotOnto", f"target node {n} uncovered"))
 
-    view = w.edge_map
-    derived = (
-        isinstance(view, EdgeImages) and view.node_map is w.node_map and view.component is source
-    )
+    # Only a witness not forced by this source has its edge map read: a
+    # partial node map forces no edge map that can be read.
+    derived = w._source is source
+    edge_map = None if derived else w.edge_map
     # Source edges are visited unsorted and only their findings sorted (stably), by edge.
     findings, covered, unmapped_edges = [], set(), 0
 
@@ -387,7 +386,7 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
             forced = e.image(w.node_map)
         except KeyError:  # an unmapped endpoint, reported as NodeMapNotTotal
             forced = None
-        image = forced if derived else w.edge_map.get(e)
+        image = forced if derived else edge_map.get(e)
         if image is None:
             if not derived:
                 finding(e, "EdgeMapNotTotal", f"edge {e} is unmapped")
@@ -399,8 +398,8 @@ def check_valid_abstraction(source: Component, target: Component, w: Witness) ->
         covered.add(image)
         if image not in target.edges:
             finding(e, "ImageEdgeMissing", f"image {image} is not a target edge")
-    if len(w.edge_map) > len(source.edges) - unmapped_edges:  # it maps a non-source edge
-        for e in w.edge_map.keys() - source.edges:
+    if not derived and len(edge_map) > len(source.edges) - unmapped_edges:  # a non-source edge
+        for e in edge_map.keys() - source.edges:
             finding(e, "EdgeMapDomainUnknown", f"edge {e} is not a source edge")
     findings.sort(key=lambda f: f[0])
     violations.extend(v for _, v in findings)

@@ -32,12 +32,13 @@ from heapabstract import (
     edges_out,
     entry_nodes,
     height,
+    node_classes,
     parse_heap,
     region_edges,
     serialize_heap,
     validate_component,
 )
-from heapabstract.model import _tokens_ok
+from heapabstract.model import ComponentIndex, _tokens_ok
 
 
 class TestConstruction:
@@ -492,6 +493,16 @@ class TestValidateComponent:
             edges={ve("v", "a"), ne("a", "b"), ne("a", "x")},
         )
         assert [v.code for v in validate_component(c)] == ["BranchingList"]
+
+    def test_an_index_of_another_component_is_refused(self):
+        # Read through b's index, a would branch at a and hold b's node c.
+        a = comp(Layout.SLL, {"x"}, {"a", "b"}, {ve("x", "a"), ne("a", "b")})
+        b = comp(Layout.SLL, {"x"}, {"a", "b", "c"}, {ve("x", "a"), ne("a", "b"), ne("a", "c")})
+        assert validate_component(a, ComponentIndex(a)) == []
+        assert list(node_classes(a, ComponentIndex(a))) == ["a", "b"]
+        for rule in (validate_component, node_classes):
+            with pytest.raises(ValueError, match="not this component's"):
+                rule(a, ComponentIndex(b))
 
     def test_tail_back_edge_is_not_branching(self, fig1):
         # The tail's single next pointer may aim backwards.

@@ -41,7 +41,6 @@ from heapabstract import (
 )
 from heapabstract.cli import run
 from heapabstract.model import ComponentIndex
-from heapabstract.witness import EdgeImages
 
 ACCEPTANCE_SEEDS = {Layout.SLL: 101, Layout.T: 202, Layout.C: 303, Layout.DAG: 404}
 
@@ -339,7 +338,7 @@ def _corrupted(rng, c: Component):
         elif way == 2:  # a key that is no source node
             node_map[rng.choice(["extra", *OUTSIDE])] = rng.choice(images)
     if rng.random() < 0.25:
-        return target, Witness(node_map, EdgeImages(c, node_map))
+        return target, Witness._forced(c, node_map)
     if rng.random() < 0.5:
         edge_map = dict(result.witness.edge_map)
     else:  # the images the corrupted node map forces, where it maps both ends
@@ -365,7 +364,7 @@ def _corrupted(rng, c: Component):
 
 
 def test_witness_checker_matches_edge_by_edge_oracle():
-    # Views over redrawn node maps and edge maps of either origin, half of
+    # Forced witnesses over redrawn node maps and edge maps of either origin, half of
     # them read back from a document: the same findings, in the same order,
     # with the same details.
     rng = random.Random(606)

@@ -27,7 +27,6 @@ from heapabstract import (
     serialize_heap,
     serialize_witnesses,
 )
-from heapabstract.witness import EdgeImages
 
 ACCEPTANCE_SEEDS = {Layout.SLL: 101, Layout.T: 202, Layout.C: 303, Layout.DAG: 404}
 FIXTURES = ("fig1_sll.json", "fig2_tree.json", "fig3_cycle.json", "fig4_dag.json")
@@ -144,9 +143,9 @@ def test_escaped_ids_match_reference():
 
 def test_produced_witness_names_fall_back_where_they_differ():
     # A produced witness's entries reuse the node map's quoted names only
-    # when its sorted keys are the component's ids and the view forces
-    # that same map.  A key outside the component (sorting first, so every
-    # rank would shift) or a view of another map must be written as read.
+    # when its sorted keys are its source's ids.  A key outside the source
+    # (sorting first, so every rank would shift) or a hand-built dict of the
+    # images another node map forces must be written as read.
     sll = comp(Layout.SLL, {"x"}, {'a"', "b", "c"}, {ve("x", 'a"'), ne('a"', "b"), ne("b", "c")})
     tree = comp(
         Layout.T,
@@ -160,9 +159,9 @@ def test_produced_witness_names_fall_back_where_they_differ():
         wider = dict(kept, **{"0ghost": ids[1]})
         other = {n: ids[0] for n in ids}
         witnesses = [
-            Witness(wider, EdgeImages(c, wider)),
-            Witness(kept, EdgeImages(c, other)),
-            Witness(dict(kept), EdgeImages(c, kept)),
+            Witness._forced(c, wider),
+            Witness(kept, {e: e.image(other) for e in c.edges}),
+            Witness._forced(c, dict(kept)),
         ]
         for w in witnesses:
             _assert_witnesses_match([w])

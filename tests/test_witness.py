@@ -21,10 +21,11 @@ from heapabstract import (
     find_witness_bruteforce,
     identity_witness,
     isomorphic,
+    parse_witnesses,
     serialize_heap,
+    serialize_witnesses,
 )
 from heapabstract.cli import run
-from heapabstract.witness import EdgeImages
 
 
 def codes(violations):
@@ -177,25 +178,40 @@ class TestCheckValidAbstraction:
 
 
 class TestProducedEdgeMap:
-    """A produced witness's edge map is a view over its node map, which the
-    checker still judges as the map it is, not as the one it should be."""
+    """A produced witness holds its source, and its edge map is the dict its
+    node map forces; a witness built from that dict is judged as the map it
+    is, not as the one it should be."""
 
-    def test_view_equals_its_dict(self, fig1, fig2, fig3, fig4):
+    def test_edge_map_is_a_fresh_dict(self, fig1, fig2, fig3, fig4):
         for c in (fig1, fig2, fig3, fig4):
             w = abstract_component(c).witness
-            assert type(w.edge_map) is EdgeImages
-            as_dict = dict(w.edge_map)
-            assert w.edge_map == as_dict and as_dict == w.edge_map
-            assert as_dict == {e: e.image(w.node_map) for e in c.edges}
+            assert type(w.edge_map) is dict and w.edge_map is not w.edge_map
+            assert list(w.edge_map) == sorted(c.edges)
+            assert w.edge_map == {e: e.image(w.node_map) for e in c.edges}
 
-    def test_identity_witness_is_a_view(self, fig1):
+    def test_identity_witness_is_forced(self, fig1):
         w = identity_witness(fig1)
-        assert type(w.edge_map) is EdgeImages
+        assert type(w.edge_map) is dict
         assert w.edge_map == {e: e for e in fig1.edges}
+        assert list(w.node_map) == sorted(fig1.nodes)
+
+    def test_produced_witness_is_a_value(self, fig1, fig2, fig3, fig4):
+        # Its repr shows the maps themselves, as a parsed witness's does, and
+        # a dict read from it is the reader's own: changing one changes
+        # neither the witness's findings nor its document.
+        for c in (fig1, fig2, fig3, fig4):
+            result = abstract_component(c)
+            w, text = result.witness, serialize_witnesses([result.witness])
+            assert repr(w) == repr(parse_witnesses(text)[0])
+            edge_map = w.edge_map
+            edge_map[next(iter(edge_map))] = None
+            edge_map[ne("ghost", "ghost")] = ne("ghost", "ghost")
+            assert check_valid_abstraction(c, result.output, w) == []
+            assert serialize_witnesses([w]) == text
 
     def test_view_under_a_tampered_node_map_is_incompatible(self, fig1):
         # h6 is special and kept; sending it to h7 instead changes the
-        # forced image of each edge at h6, which the view does not follow.
+        # forced image of each edge at h6, which the dict read before does not follow.
         result = abstract_component(fig1)
         node_map = {**result.witness.node_map, "h6": "h7"}
         tampered = Witness(node_map, result.witness.edge_map)
@@ -203,7 +219,7 @@ class TestProducedEdgeMap:
         assert "EdgeMapIncompatible" in codes(found)
 
     def test_view_checked_against_another_source(self, fig1):
-        # The same nodes with one edge swapped: the view has no entry for
+        # The same nodes with one edge swapped: the edge map has no entry for
         # the new edge and one for an edge the source lacks.
         result = abstract_component(fig1)
         edges = fig1.edges - {ne("h7", "h6")} | {ne("h7", "h5")}
@@ -218,8 +234,8 @@ class TestProducedEdgeMap:
         assert check_valid_abstraction(copy, result.output, result.witness) == []
 
     def test_view_of_a_redrawn_node_map_is_judged_as_its_dict(self):
-        # A view over its own node map and source is judged on the keys its
-        # node map forces; the same images as a dict are keyed one by one.
+        # A witness forced by its source is judged on the keys its node map
+        # forces; the same images as a dict are keyed one by one.
         # Redrawing a few images (including to unmapped or non-target ids)
         # must give both the same findings.
         rng = random.Random(11)
@@ -236,7 +252,7 @@ class TestProducedEdgeMap:
                         del node_map[key]
                     else:
                         node_map[key] = choice
-            view = Witness(node_map, EdgeImages(c, node_map))
+            view = Witness._forced(c, node_map)
             images = {e: e.image(node_map) for e in c.edges if node_map.keys() >= set(e.ends)}
             as_dict = Witness(node_map, images)
             view_found = check_valid_abstraction(c, result.output, view)
@@ -248,7 +264,7 @@ class TestProducedEdgeMap:
         assert found > 300
 
     def test_identity_views_are_judged_as_the_oracle_judges_them(self):
-        # An unmerged component's identity view forces each edge onto
+        # An unmerged component's identity witness forces each edge onto
         # itself; judged over the component's own copy, over copies with an
         # edge added or removed, and with two nodes' images swapped, the
         # checker must find what the edge-by-edge oracle finds.
@@ -264,7 +280,7 @@ class TestProducedEdgeMap:
             targets = [c.edges, c.edges | {extra}, c.edges - {removed}]
             swapped = dict(w.node_map)
             swapped[a], swapped[b] = b, a
-            swap = Witness(swapped, EdgeImages(c, swapped))
+            swap = Witness._forced(c, swapped)
             for edges, witness in [*((e, w) for e in targets), (c.edges, swap)]:
                 target = Component(c.layout, c.vars, c.nodes, set(edges))
                 found = check_valid_abstraction(c, target, witness)
