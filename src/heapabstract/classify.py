@@ -8,8 +8,8 @@ merged.  Which clauses apply depends on the component layout.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .errors import SameNodeError, UnknownNodeError
 from .model import (

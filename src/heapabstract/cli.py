@@ -12,12 +12,12 @@ produce byte-identical outputs.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .abstraction import abstract_component
@@ -71,6 +71,8 @@ def _emit_all(outputs):
                 elif path:
                     handle = open(path, "a", encoding="utf-8", newline="")
                     direct.append((chunks, opened.enter_context(handle)))
+                elif sys.stdout is None:
+                    raise OSError("StdoutClosed: standard output is closed")
                 else:
                     direct.append((chunks, sys.stdout))
             for chunks, tmp, path, st in pending:
@@ -101,13 +103,9 @@ def _same_file(path: str, other) -> bool:
     try:
         st = os.stat(path)
         other_st = os.fstat(sys.stdout.fileno()) if other is None else os.stat(other)
-    except (OSError, ValueError):  # a missing file; stdout without a descriptor
+    except (AttributeError, OSError, ValueError):  # a missing file; stdout closed or without fd
         return False
     return os.path.samestat(st, other_st)
-
-
-def _load_heap(path: str) -> Heap:
-    return parse_heap(_read(path))
 
 
 def _print_validation(findings, stream):
@@ -120,7 +118,7 @@ def _cmd_abstract(args) -> int:
         where = "--out" if args.out else "standard output, where the heap goes"
         print(f"error: --witness names the same file as {where}", file=sys.stderr)
         return INPUT_ERROR
-    heap = _load_heap(args.heap)
+    heap = parse_heap(_read(args.heap))
     findings, results = [], []
     for i, comp in enumerate(heap.components):
         try:
@@ -157,7 +155,7 @@ def _cmd_abstract(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    heap = _load_heap(args.heap)
+    heap = parse_heap(_read(args.heap))
     findings, classified = [], []
     for i, comp in enumerate(heap.components):
         index = ComponentIndex(comp)
@@ -172,24 +170,21 @@ def _cmd_classify(args) -> int:
         for n, k in classes.items():  # node_classes lists nodes in id order
             reasons = ",".join(r.value for r in k.reasons)
             label = "special" if k.special else "ordinary"
-            lines.append(f"component {i} {n} {label}" + (f" [{reasons}]" if reasons else ""))
-    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
+            lines.append(f"component {i} {n} {label}" + (f" [{reasons}]\n" if reasons else "\n"))
+    _emit_all([(lines, None)])
     return OK
 
 
-def _paired_components(source: Heap, target: Heap, extra=None):
-    counts = {len(source.components), len(target.components)}
-    if extra is not None:
-        counts.add(len(extra))
-    if len(counts) != 1:
+def _paired_components(source: Heap, target: Heap, *extra):
+    if len({len(source.components), len(target.components), *map(len, extra)}) != 1:
         print("error: component counts differ between inputs", file=sys.stderr)
         return None
     return list(zip(source.components, target.components))
 
 
 def _cmd_check_witness(args) -> int:
-    source = _load_heap(args.source)
-    target = _load_heap(args.target)
+    source = parse_heap(_read(args.source))
+    target = parse_heap(_read(args.target))
     witnesses = parse_witnesses(_read(args.witness))
     pairs = _paired_components(source, target, witnesses)
     if pairs is None:
@@ -201,8 +196,8 @@ def _cmd_check_witness(args) -> int:
 
 
 def _cmd_check_valid(args) -> int:
-    source = _load_heap(args.source)
-    target = _load_heap(args.target)
+    source = parse_heap(_read(args.source))
+    target = parse_heap(_read(args.target))
     pairs = _paired_components(source, target)
     if pairs is None:
         return INPUT_ERROR
@@ -218,7 +213,7 @@ def _cmd_check_valid(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    heap = _load_heap(args.heap)
+    heap = parse_heap(_read(args.heap))
     findings = [(i, v) for i, comp in enumerate(heap.components) for v in validate_component(comp)]
     if findings:
         _print_validation(findings, sys.stdout)
@@ -228,75 +223,85 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    heap = _load_heap(args.heap)
+    heap = parse_heap(_read(args.heap))
     _emit_all([([export_dot(heap)], args.out)])
     return OK
 
 
-def _output_path(text: str) -> str:
-    if not text:
-        raise argparse.ArgumentTypeError("must name a file")
-    return text
+# Each option's value type (None for a flag), default, value name and help;
+# each command's handler, positional names, options and summary.
+_OPTIONS = {
+    "--out": (str, None, " FILE", "write the document here instead of stdout"),
+    "--witness": (str, None, " FILE", "write the witnesses document here"),
+    "--stats": (None, False, "", "print per-component merge stats"),
+    "--budget": (int, 8, " N", "max source nodes per component (default 8)"),
+}
+COMMANDS = {
+    "abstract": (_cmd_abstract, ("heap",), ("--out", "--witness", "--stats"), "abstract a heap"),
+    "classify": (_cmd_classify, ("heap",), (), "print each node's class and reasons"),
+    "check-witness": (_cmd_check_witness, ("source", "target", "witness"), (), "check witnesses"),
+    "check-valid": (_cmd_check_valid, ("source", "target"), ("--budget",), "search for a witness"),
+    "validate": (_cmd_validate, ("heap",), (), "check heap well-formedness"),
+    "export-dot": (_cmd_export_dot, ("heap",), ("--out",), "render a heap as a DOT document"),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heapabstract",
-        description="Group logically related regions of heap components into compact abstractions.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help() -> str:
+    lines = ["usage: heapabstract [--version] COMMAND ARGUMENT...", "commands:"]
+    for name, (_, names, options, summary) in COMMANDS.items():
+        flags = "".join(f" [{o}{_OPTIONS[o][2]}]" for o in options)
+        lines += [f"  {name} {' '.join(names).upper()}{flags}", f"      {summary}"]
+    lines += ["options:", *(f"  {o + meta:<16}{text}" for o, (*_, meta, text) in _OPTIONS.items())]
+    return "\n".join(lines)
 
-    p = sub.add_parser("abstract", help="abstract every component of a heap")
-    p.add_argument("heap")
-    p.add_argument(
-        "--out", type=_output_path, help="write the abstract heap here instead of stdout"
-    )
-    p.add_argument("--witness", type=_output_path, help="write the witnesses document here")
-    p.add_argument("--stats", action="store_true", help="print per-component merge stats")
-    p.set_defaults(handler=_cmd_abstract, inputs=("heap",))
 
-    p = sub.add_parser("classify", help="print each node's class and reasons")
-    p.add_argument("heap")
-    p.set_defaults(handler=_cmd_classify, inputs=("heap",))
-
-    p = sub.add_parser("check-witness", help="check a witness document against two heaps")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("witness")
-    p.set_defaults(handler=_cmd_check_witness, inputs=("source", "target", "witness"))
-
-    p = sub.add_parser("check-valid", help="search exhaustively for a witness")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--budget", type=int, default=8, help="max source nodes per component")
-    p.set_defaults(handler=_cmd_check_valid, inputs=("source", "target"))
-
-    p = sub.add_parser("validate", help="check heap well-formedness")
-    p.add_argument("heap")
-    p.set_defaults(handler=_cmd_validate, inputs=("heap",))
-
-    p = sub.add_parser("export-dot", help="render a heap as a Graphviz document")
-    p.add_argument("heap")
-    p.add_argument("--out", type=_output_path, help="write the DOT document here instead of stdout")
-    p.set_defaults(handler=_cmd_export_dot, inputs=("heap",))
-
-    return parser
+def _parse(argv: list):
+    """The arguments of the command ``argv`` names, or the help or version text to print."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help", "--version"):
+        return __version__ if name == "--version" else _help()
+    if name not in COMMANDS:
+        raise ValueError(f"unknown command {name!r}" if argv else "no command given")
+    _, names, options, _ = COMMANDS[name]
+    values, given, rest = {o[2:]: _OPTIONS[o][1] for o in options}, [], iter(argv[1:])
+    for arg in rest:  # options (--opt VALUE, --opt=VALUE) mix with positionals until --
+        option, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            return _help()
+        if arg in ("--", "-") or not arg.startswith("-"):
+            given.extend(rest if arg == "--" else [arg])
+        elif option not in options or (eq and _OPTIONS[option][0] is None):
+            raise ValueError(f"{arg} is not an option of {name}")
+        elif (kind := _OPTIONS[option][0]) is None:
+            values[option[2:]] = True
+        elif not (value := value if eq else next(rest, "")):
+            raise ValueError(f"{option} {'must name a file' if kind is str else 'needs a value'}")
+        else:
+            try:
+                values[option[2:]] = kind(value)
+            except ValueError:
+                raise ValueError(f"{option} needs an int, not {value!r}") from None
+    if len(given) != len(names):
+        raise ValueError(f"{name} takes {' '.join(names).upper()}, not {len(given)} arguments")
+    return SimpleNamespace(command=name, inputs=names, **values, **dict(zip(names, given)))
 
 
 def run(argv=None) -> int:
     """Run the CLI and return its exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return OK if exc.code in (0, None) else INPUT_ERROR
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except ValueError as exc:
+        print(f"error: {exc} (see heapabstract --help)", file=sys.stderr)
+        return INPUT_ERROR
+    if isinstance(args, str):  # --help or --version
+        print(args)
+        return OK
     # A command builds no cyclic garbage, so cyclic GC is paused while it
     # runs (a tenth to a third of the run at 10^5 nodes); library calls keep it.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        return COMMANDS[args.command][0](args)
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
@@ -320,7 +325,17 @@ def run(argv=None) -> int:
 
 
 def main():
-    raise SystemExit(run())
+    """Run the CLI as a process: flush its output, then end without interpreter teardown."""
+    status = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # a full disk, a closed pipe
+        print(f"error: {exc}", file=sys.stderr)
+        status = INPUT_ERROR
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # stderr closed or failing
+        sys.stderr.flush()
+    os._exit(status)  # run() has closed every output file, and no exit handler is registered
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ ones (nodes stand for merged regions); concreteness is a usage convention.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from enum import Enum
 from itertools import chain, count
 from operator import itemgetter
-from typing import Iterable
 
 from .errors import (
     EmptyComponentError,

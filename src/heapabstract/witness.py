@@ -53,6 +53,11 @@ class Witness(Value):
         _setattr(w, "_source", source)
         return w
 
+    def __reduce__(self):  # a copy or pickle of a produced witness keeps its source
+        if self._source is None:
+            return super().__reduce__()
+        return Witness._forced, (self._source, self.node_map)
+
     @property
     def edge_map(self) -> Mapping:
         if self._source is None:

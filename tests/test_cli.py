@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit-code contract."""
 
 import cProfile
+import errno
 import gc
 import io
 import json
@@ -434,9 +435,9 @@ def test_out_of_memory_is_an_input_error(name, stub, tmp_path, monkeypatch, caps
         assert capsys.readouterr().err == "error: OutOfMemory: " + expected
 
 
-def test_commands_leave_only_the_argument_parsers_cycles(tmp_path):
-    # With GC paused, an abstract run leaves what building its argument
-    # parser leaves, whatever the size of the heap.
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    # With GC paused, an abstract run leaves nothing for the collector,
+    # whatever the size of the heap.
     ids = [f"n{i}" for i in range(10_000)]
     doc = {
         "layout": "SLL",
@@ -459,19 +460,85 @@ def test_commands_leave_only_the_argument_parsers_cycles(tmp_path):
     finally:
         if was:
             gc.enable()
-    assert left[1] == left[2]
+    assert left[1:] == [0, 0]
 
 
 def test_cli_import_skips_dataclasses():
-    # The records are plain __slots__ classes, so importing the CLI does
-    # not pay for dataclasses (and the inspect module it loads).
-    script = "import sys\nimport heapabstract.cli\nprint('dataclasses' in sys.modules)\n"
+    # The records are plain __slots__ classes, the command table is a dict
+    # and annotations are strings, so importing the CLI pays for none of
+    # dataclasses (and the inspect module it loads), argparse (and gettext)
+    # or typing.
+    skipped = ["dataclasses", "argparse", "gettext", "typing"]
+    script = f"import sys, heapabstract.cli\nprint([m for m in {skipped!r} if m in sys.modules])\n"
     src = str(Path(heapabstract.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def _process(*argv, **kwargs):
+    """The CLI run by ``python -m heapabstract.cli`` with PYTHONUNBUFFERED unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(heapabstract.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "heapabstract.cli", *map(str, argv)]
+    return subprocess.run(command, env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", FIG1],
+        ["export-dot", FIG1],
+        ["abstract", FIG1],
+        ["abstract", FIG1, "--witness", "w"],
+    ],
+)
+def test_closed_stdout_is_an_input_error(argv, tmp_path):
+    # With descriptor 1 closed the interpreter sets sys.stdout to None; the
+    # refusal comes before any output is staged.
+    proc = _process(
+        *argv, cwd=tmp_path, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (2, "error: StdoutClosed: standard output is closed\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["validate", "classify", "abstract", "check-witness"])
+def test_failed_stdout_flush_is_an_input_error(command, artifacts):
+    # The output is buffered until main() flushes it, which fails on a full device.
+    out, wit = artifacts
+    argv = [command, FIG1, out, wit] if command == "check-witness" else [command, FIG1]
+    if command == "check-witness":
+        doc = json.loads(wit.read_text(encoding="utf-8"))
+        doc["witnesses"][0]["node_map"]["h6"] = "h7"  # findings go to stdout
+        wit.write_text(json.dumps(doc), encoding="utf-8")
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = _process(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_piped_stdout_gets_the_whole_document(tmp_path):
+    # main() ends the process with os._exit only once stdout is flushed, so
+    # a pipe gets every byte of a document, shorter or longer than the
+    # stream's buffer.
+    rng = random.Random(8)
+    components = [
+        GENERATORS[layout](rng, max_nodes=40, prefix=f"k{i}x")
+        for i, layout in enumerate(list(Layout) * 20)
+    ]
+    big, out = tmp_path / "heap.json", tmp_path / "out.json"
+    big.write_text(serialize_heap(Heap(tuple(components))), encoding="utf-8")
+    sizes = []
+    for heap in (FIG1, big):
+        assert _process("abstract", heap, "--out", out).returncode == 0
+        proc = _process("abstract", heap, stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (0, out.read_bytes())
+        sizes.append(len(proc.stdout))
+    assert sizes[0] < 1 << 13 < 1 << 16 < sizes[1]
 
 
 def test_imports_only_the_standard_library():
@@ -657,6 +724,10 @@ class TestExportDot:
         assert list(tmp_path.iterdir()) == [path]
 
 
+def _no_reads(path):
+    raise AssertionError(f"{path} was read")
+
+
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -672,4 +743,77 @@ class TestArgumentHandling:
 
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == f"{heapabstract.__version__}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], ["abstract", "--help"], ["check-valid", FIG1, "-h"]]
+    )
+    def test_help_shows_the_command_table(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_read", _no_reads)
+        assert run(argv) == 0
+        help_text = capsys.readouterr().out
+        for name, (_, names, options, summary) in cli.COMMANDS.items():
+            flags = "".join(f" [{o}{cli._OPTIONS[o][2]}]" for o in options)
+            assert f"  {name} {' '.join(names).upper()}{flags}\n      {summary}\n" in help_text
+        for option in ("--out FILE", "--witness FILE", "--stats", "--budget N"):
+            assert f"\n  {option} " in help_text
+
+    def test_option_forms_agree(self, tmp_path, capsys):
+        # --opt VALUE and --opt=VALUE, before, between or after the positional,
+        # and the positional after --, give the same documents.
+        forms = [
+            ["abstract", FIG1, "--out", "{o}", "--witness", "{w}", "--stats"],
+            ["abstract", "--stats", "--out={o}", FIG1, "--witness={w}"],
+            ["abstract", "--witness", "{w}", "--stats", "--out", "{o}", "--", FIG1],
+        ]
+        documents = set()
+        for k, form in enumerate(forms):
+            o, w = tmp_path / f"o{k}.json", tmp_path / f"w{k}.json"
+            assert run([a.format(o=o, w=w) for a in form]) == 0
+            assert "merges 4" in capsys.readouterr().err
+            documents.add((o.read_bytes(), w.read_bytes()))
+        assert len(documents) == 1
+
+    @pytest.mark.parametrize("budget", [["--budget", "1"], ["--budget=1"], ["--budget", " +1"]])
+    def test_budget_is_read_in_either_form(self, budget, capsys):
+        assert run(["check-valid", FIG1, FIG1]) == 0
+        assert run(["check-valid", FIG1, FIG1, *budget]) == 2
+        assert "BudgetExceeded" in capsys.readouterr().err
+
+    def test_double_dash_ends_the_options(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-h").write_bytes(Path(FIG1).read_bytes())
+        assert run(["validate", "--", "-h"]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert run(["validate", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: heapabstract")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate", FIG1],
+            ["--out", "o.json", "abstract", FIG1],
+            ["abstract"],
+            ["abstract", FIG1, FIG1],
+            ["check-witness", FIG1, FIG1],
+            ["abstract", FIG1, "--bogus"],
+            ["abstract", FIG1, "-x"],
+            ["abstract", FIG1, "--wit", "w.json"],  # no abbreviations
+            ["validate", FIG1, "--out", "o.json"],  # another command's option
+            ["abstract", FIG1, "--version"],
+            ["abstract", FIG1, "--out"],
+            ["abstract", FIG1, "--stats=yes"],
+            ["check-valid", FIG1, FIG1, "--budget", "eight"],
+            ["check-valid", FIG1, FIG1, "--budget="],
+            ["export-dot", FIG1, "--out="],
+        ],
+    )
+    def test_usage_errors_exit_2_before_anything_is_read(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_read", _no_reads)  # a read would exit 3
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,8 @@
 """Tests for witness checking, composition, search, and isomorphism."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -208,6 +210,24 @@ class TestProducedEdgeMap:
             edge_map[ne("ghost", "ghost")] = ne("ghost", "ghost")
             assert check_valid_abstraction(c, result.output, w) == []
             assert serialize_witnesses([w]) == text
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_keep_the_source(self, duplicate, fig1, fig2, fig3, fig4):
+        # A duplicate of a produced witness is forced by its source too, so
+        # it keeps the checker's and the writer's forced paths.
+        for c in (fig1, fig2, fig3, fig4):
+            result = abstract_component(c)
+            twin = duplicate(result.witness)
+            assert twin == result.witness and twin._source == c
+            assert twin.node_map == result.witness.node_map
+            assert serialize_witnesses([twin]) == serialize_witnesses([result.witness])
+            assert check_valid_abstraction(c, result.output, twin) == []
+        parsed = parse_witnesses(serialize_witnesses([result.witness]))[0]
+        assert duplicate(parsed) == parsed and duplicate(parsed)._source is None
 
     def test_view_under_a_tampered_node_map_is_incompatible(self, fig1):
         # h6 is special and kept; sending it to h7 instead changes the
