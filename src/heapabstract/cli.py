@@ -3,11 +3,13 @@
 Exit codes are stable:
   0  success
   1  a check failed (invalid witness, or no witness exists)
-  2  input error (unreadable file, bad document, invalid component, out of memory)
+  2  input error (unreadable file, bad document, invalid component, out of
+     memory, a closed or failing stdout or output file)
   3  internal invariant breach
 
-Data goes to stdout or --out; diagnostics go to stderr.  Identical inputs
-produce byte-identical outputs.
+Data goes to stdout or --out; diagnostics go to stderr, and a closed or
+failing stderr changes neither the data nor the exit status.  Identical
+inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def _emit_all(outputs):
     into place once all are written, so these are written all or none.  Any
     other path (a device, a FIFO, a symlink such as /dev/stdout) is opened,
     without truncating it, before staging begins, and written, like stdout,
-    after the renames; a failed write can leave part of its document there.
+    after the renames, and flushed; a failed write can leave part of its
+    document there.
     """
     pending, staged, direct = [], [], []
     with contextlib.ExitStack() as opened:
@@ -91,6 +94,20 @@ def _emit_all(outputs):
             if handle is not sys.stdout and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                 handle.truncate(0)
             handle.writelines(chunks)
+            handle.flush()
+
+
+def _warn(text: str) -> None:
+    """Write and flush the diagnostic ``text`` to stderr, or nowhere if it is closed or failing."""
+    if sys.stderr is not None:  # None with descriptor 2 closed, where print() writes to stdout
+        with contextlib.suppress(OSError, ValueError):  # as on a read-only descriptor 2
+            sys.stderr.write(text)
+            sys.stderr.flush()
+
+
+def _stdout(lines: list) -> list:
+    """The outputs that write ``lines`` to stdout: none if there are no lines."""
+    return [(lines, None)] if lines else []
 
 
 def _same_file(path: str, other) -> bool:
@@ -108,16 +125,16 @@ def _same_file(path: str, other) -> bool:
     return os.path.samestat(st, other_st)
 
 
-def _print_validation(findings, stream):
-    for i, v in findings:
-        print(f"component {i}: {v.code}: {v.detail}", file=stream)
+def _report(findings) -> list:
+    return [f"component {i}: {v.code}: {v.detail}\n" for i, v in findings]
 
 
-def _cmd_abstract(args) -> int:
+# A command returns its exit status and the (chunks, path) outputs run() writes.
+def _cmd_abstract(args):
     if args.witness and _same_file(args.witness, args.out):
         where = "--out" if args.out else "standard output, where the heap goes"
-        print(f"error: --witness names the same file as {where}", file=sys.stderr)
-        return INPUT_ERROR
+        _warn(f"error: --witness names the same file as {where}\n")
+        return INPUT_ERROR, []
     heap = parse_heap(_read(args.heap))
     findings, results = [], []
     for i, comp in enumerate(heap.components):
@@ -126,8 +143,8 @@ def _cmd_abstract(args) -> int:
         except InvalidComponentError as exc:
             findings.extend((i, v) for v in exc.violations)
     if findings:
-        _print_validation(findings, sys.stderr)
-        return INPUT_ERROR
+        _warn("".join(_report(findings)))
+        return INPUT_ERROR, []
     out_heap = Heap(tuple(r.output for r in results))
 
     # The produced certificates are re-checked before anything is written;
@@ -138,23 +155,20 @@ def _cmd_abstract(args) -> int:
             raise InternalInvariantError(f"component {i} produced an invalid witness: {bad}")
 
     if args.stats:
-        for i, r in enumerate(results):
-            before = heap.components[i]
-            print(
+        for i, (before, r) in enumerate(zip(heap.components, results)):
+            _warn(
                 f"component {i}: {before.layout.value}"
                 f" nodes {len(before.nodes)} -> {len(r.output.nodes)}"
                 f" edges {len(before._core)} -> {len(r.output._core)}"
-                f" merges {r._merges()}",
-                file=sys.stderr,
+                f" merges {r._merges()}\n"
             )
     outputs = [(_heap_chunks(out_heap), args.out)]
     if args.witness:
         outputs.append((_witness_chunks([r.witness for r in results]), args.witness))
-    _emit_all(outputs)
-    return OK
+    return OK, outputs
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     heap = parse_heap(_read(args.heap))
     findings, classified = [], []
     for i, comp in enumerate(heap.components):
@@ -163,69 +177,58 @@ def _cmd_classify(args) -> int:
         if not findings:
             classified.append(node_classes(comp, index))
     if findings:
-        _print_validation(findings, sys.stderr)
-        return INPUT_ERROR
+        _warn("".join(_report(findings)))
+        return INPUT_ERROR, []
     lines = []
     for i, classes in enumerate(classified):
         for n, k in classes.items():  # node_classes lists nodes in id order
             reasons = ",".join(r.value for r in k.reasons)
             label = "special" if k.special else "ordinary"
             lines.append(f"component {i} {n} {label}" + (f" [{reasons}]\n" if reasons else "\n"))
-    _emit_all([(lines, None)])
-    return OK
+    return OK, _stdout(lines)
 
 
 def _paired_components(source: Heap, target: Heap, *extra):
     if len({len(source.components), len(target.components), *map(len, extra)}) != 1:
-        print("error: component counts differ between inputs", file=sys.stderr)
+        _warn("error: component counts differ between inputs\n")
         return None
     return list(zip(source.components, target.components))
 
 
-def _cmd_check_witness(args) -> int:
+def _cmd_check_witness(args):
     source = parse_heap(_read(args.source))
     target = parse_heap(_read(args.target))
     witnesses = parse_witnesses(_read(args.witness))
     pairs = _paired_components(source, target, witnesses)
     if pairs is None:
-        return INPUT_ERROR
+        return INPUT_ERROR, []
     checks = (check_valid_abstraction(src, tgt, w) for (src, tgt), w in zip(pairs, witnesses))
     findings = [(i, v) for i, violations in enumerate(checks) for v in violations]
-    _print_validation(findings, sys.stdout)
-    return CHECK_FAILED if findings else OK
+    return (CHECK_FAILED if findings else OK), _stdout(_report(findings))
 
 
-def _cmd_check_valid(args) -> int:
+def _cmd_check_valid(args):
     source = parse_heap(_read(args.source))
     target = parse_heap(_read(args.target))
     pairs = _paired_components(source, target)
     if pairs is None:
-        return INPUT_ERROR
-    missing = False
-    for i, (src, tgt) in enumerate(pairs):
-        found = find_witness_bruteforce(src, tgt, node_budget=args.budget)
-        if found is None:
-            missing = True
-            print(f"component {i}: no witness")
-        else:
-            print(f"component {i}: witness found")
-    return CHECK_FAILED if missing else OK
+        return INPUT_ERROR, []
+    found = [find_witness_bruteforce(s, t, node_budget=args.budget) is not None for s, t in pairs]
+    lines = [
+        f"component {i}: {'witness found' if w else 'no witness'}\n" for i, w in enumerate(found)
+    ]
+    return (OK if all(found) else CHECK_FAILED), _stdout(lines)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     heap = parse_heap(_read(args.heap))
     findings = [(i, v) for i, comp in enumerate(heap.components) for v in validate_component(comp)]
-    if findings:
-        _print_validation(findings, sys.stdout)
-        return INPUT_ERROR
-    print("ok")
-    return OK
+    return (INPUT_ERROR if findings else OK), [(_report(findings) or ["ok\n"], None)]
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args):
     heap = parse_heap(_read(args.heap))
-    _emit_all([([export_dot(heap)], args.out)])
-    return OK
+    return OK, [([export_dot(heap)], args.out)]
 
 
 # Each option's value type (None for a flag), default, value name and help;
@@ -256,10 +259,11 @@ def _help() -> str:
 
 
 def _parse(argv: list):
-    """The arguments of the command ``argv`` names, or the help or version text to print."""
+    """The arguments of the command ``argv`` names; --help and --version give a ``text``."""
     name = argv[0] if argv else None
     if name in ("-h", "--help", "--version"):
-        return __version__ if name == "--version" else _help()
+        text = __version__ if name == "--version" else _help()
+        return SimpleNamespace(command=name, inputs=(), text=text)
     if name not in COMMANDS:
         raise ValueError(f"unknown command {name!r}" if argv else "no command given")
     _, names, options, _ = COMMANDS[name]
@@ -267,7 +271,7 @@ def _parse(argv: list):
     for arg in rest:  # options (--opt VALUE, --opt=VALUE) mix with positionals until --
         option, eq, value = arg.partition("=")
         if arg in ("-h", "--help"):
-            return _help()
+            return SimpleNamespace(command=arg, inputs=(), text=_help())
         if arg in ("--", "-") or not arg.startswith("-"):
             given.extend(rest if arg == "--" else [arg])
         elif option not in options or (eq and _OPTIONS[option][0] is None):
@@ -291,51 +295,44 @@ def run(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except ValueError as exc:
-        print(f"error: {exc} (see heapabstract --help)", file=sys.stderr)
+        _warn(f"error: {exc} (see heapabstract --help)\n")
         return INPUT_ERROR
-    if isinstance(args, str):  # --help or --version
-        print(args)
-        return OK
     # A command builds no cyclic garbage, so cyclic GC is paused while it
     # runs (a tenth to a third of the run at 10^5 nodes); library calls keep it.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return COMMANDS[args.command][0](args)
+        if args.command in COMMANDS:
+            status, outputs = COMMANDS[args.command][0](args)
+        else:  # --help or --version
+            status, outputs = OK, [([args.text, "\n"], None)]
+        _emit_all(outputs)
+        return status
     except (DocumentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}\n")
         return INPUT_ERROR
     except BudgetExceededError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        _warn(f"error: {exc.code}: {exc}\n")
         return INPUT_ERROR
     except MemoryError:  # it has no message; name the command and its inputs below,
         pass  # once its traceback has let go of what filled memory
     except InternalInvariantError as exc:
-        print(f"internal error: {exc.code}: {exc}", file=sys.stderr)
+        _warn(f"internal error: {exc.code}: {exc}\n")
         return INTERNAL_ERROR
     except Exception as exc:  # noqa: BLE001  - anything else is a bug in us
-        print(f"internal error: {exc}", file=sys.stderr)
+        _warn(f"internal error: {exc}\n")
         return INTERNAL_ERROR
     finally:
         if collecting:
             gc.enable()
     inputs = ", ".join(getattr(args, name) for name in args.inputs)
-    print(f"error: OutOfMemory: {args.command} ran out of memory on {inputs}", file=sys.stderr)
+    _warn(f"error: OutOfMemory: {args.command} ran out of memory on {inputs}\n")
     return INPUT_ERROR
 
 
 def main():
-    """Run the CLI as a process: flush its output, then end without interpreter teardown."""
-    status = run()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except (OSError, ValueError) as exc:  # a full disk, a closed pipe
-        print(f"error: {exc}", file=sys.stderr)
-        status = INPUT_ERROR
-    with contextlib.suppress(AttributeError, OSError, ValueError):  # stderr closed or failing
-        sys.stderr.flush()
-    os._exit(status)  # run() has closed every output file, and no exit handler is registered
+    """Run the CLI as a process, ending it without interpreter teardown."""
+    os._exit(run())  # run() has flushed and closed its outputs; no atexit handler is registered
 
 
 if __name__ == "__main__":

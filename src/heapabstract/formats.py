@@ -405,13 +405,13 @@ def _dot_id(ident: str) -> str:
     return '"' + ident.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(h: Heap, name: str = "heap") -> str:
-    """Render a heap as one DOT document, one cluster per component.
+def export_dot(h: Heap) -> str:
+    """Render a heap as one DOT document, the graph ``heap``, one cluster per component.
 
     Variables are drawn as circles and nodes as ovals; tree edges carry
     their l/r labels.  Output ordering is deterministic.
     """
-    lines = [f"digraph {_dot_id(name)} {{"]
+    lines = ["digraph heap {"]
     for i, comp in enumerate(h.components):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="component {i} ({comp.layout.value})";')

@@ -16,8 +16,8 @@ import pytest
 
 import heapabstract
 from conftest import FIXTURE_DIR
-from genheaps import GENERATORS, comp, te, ve
-from heapabstract import Heap, Layout, NodeEdge, TreeEdge, VarEdge, serialize_heap
+from genheaps import GENERATORS, comp, ne, te, ve
+from heapabstract import Heap, Layout, NodeEdge, TreeEdge, VarEdge, parse_heap, serialize_heap
 from heapabstract import cli
 from heapabstract.abstraction import MergeEvent
 from heapabstract.cli import run
@@ -486,6 +486,24 @@ def _process(*argv, **kwargs):
     return subprocess.run(command, env=env, **kwargs)
 
 
+def _tamper(wit, path):
+    """Write the witnesses ``wit`` to ``path`` with h6 sent to h7, which fails their check."""
+    doc = json.loads(wit.read_text(encoding="utf-8"))
+    doc["witnesses"][0]["node_map"]["h6"] = "h7"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _argv(argv, artifacts, tmp_path):
+    """``argv`` with {out}, {wit}, {tampered} and {empty} naming fig1's outputs,
+    a tampered witness document and a heap of no components."""
+    out, wit = artifacts
+    tampered = _tamper(wit, tmp_path / "tampered.json")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"components": []}', encoding="utf-8")
+    return [a.format(out=out, wit=wit, tampered=tampered, empty=empty) for a in argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -493,28 +511,83 @@ def _process(*argv, **kwargs):
         ["export-dot", FIG1],
         ["abstract", FIG1],
         ["abstract", FIG1, "--witness", "w"],
+        ["validate", FIG1],
+        ["check-valid", FIG1, "{out}"],
+        ["check-witness", FIG1, "{out}", "{tampered}"],
+        ["--version"],
+        ["--help"],
     ],
 )
-def test_closed_stdout_is_an_input_error(argv, tmp_path):
+def test_closed_stdout_is_an_input_error(argv, artifacts, tmp_path):
     # With descriptor 1 closed the interpreter sets sys.stdout to None; the
     # refusal comes before any output is staged.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
     proc = _process(
-        *argv, cwd=tmp_path, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True
+        *_argv(argv, artifacts, tmp_path),
+        cwd=cwd,
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
     )
     assert (proc.returncode, proc.stderr) == (2, "error: StdoutClosed: standard output is closed\n")
-    assert list(tmp_path.iterdir()) == []
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-witness", FIG1, "{out}", "{wit}"], ["check-valid", "{empty}", "{empty}"]],
+)
+def test_closed_stdout_is_not_needed_without_a_report(argv, artifacts, tmp_path):
+    # A clean check and a search over no components have nothing for stdout.
+    proc = _process(
+        *_argv(argv, artifacts, tmp_path),
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["abstract"], 2),
+        (["abstract", "/nonexistent.json"], 2),
+        (["abstract", ACYCLIC], 2),
+        (["validate", ACYCLIC], 2),
+        (["check-witness", FIG1, "{out}", "{tampered}"], 1),
+        (["abstract", FIG1, "--stats"], 0),
+    ],
+)
+def test_closed_stderr_keeps_status_and_data(argv, status, artifacts, tmp_path):
+    # With descriptor 2 closed sys.stderr is None, and print(..., file=None)
+    # would write to stdout: no diagnostic may land there or change the
+    # status.  stdout holds what a run with stderr, and without --stats, writes.
+    argv = _argv(argv, artifacts, tmp_path)
+    closed = _process(*argv, preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE)
+    plain = _process(*(a for a in argv if a != "--stats"), capture_output=True)
+    assert (closed.returncode, closed.stdout) == (plain.returncode, plain.stdout)
+    assert plain.returncode == status
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", ["validate", "classify", "abstract", "check-witness"])
-def test_failed_stdout_flush_is_an_input_error(command, artifacts):
-    # The output is buffered until main() flushes it, which fails on a full device.
-    out, wit = artifacts
-    argv = [command, FIG1, out, wit] if command == "check-witness" else [command, FIG1]
-    if command == "check-witness":
-        doc = json.loads(wit.read_text(encoding="utf-8"))
-        doc["witnesses"][0]["node_map"]["h6"] = "h7"  # findings go to stdout
-        wit.write_text(json.dumps(doc), encoding="utf-8")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", FIG1],
+        ["classify", FIG1],
+        ["abstract", FIG1],
+        ["export-dot", FIG1],
+        ["check-witness", FIG1, "{out}", "{tampered}"],  # findings go to stdout
+        ["check-valid", FIG1, "{out}"],
+        ["--version"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_failed_stdout_flush_is_an_input_error(argv, artifacts, tmp_path):
+    # The output is buffered until _emit_all flushes it, which fails on a full device.
+    argv = _argv(argv, artifacts, tmp_path)
     with open("/dev/full", "w", encoding="utf-8") as full:
         proc = _process(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 2
@@ -522,8 +595,8 @@ def test_failed_stdout_flush_is_an_input_error(command, artifacts):
 
 
 def test_piped_stdout_gets_the_whole_document(tmp_path):
-    # main() ends the process with os._exit only once stdout is flushed, so
-    # a pipe gets every byte of a document, shorter or longer than the
+    # _emit_all flushes stdout before main() ends the process with os._exit,
+    # so a pipe gets every byte of a document, shorter or longer than the
     # stream's buffer.
     rng = random.Random(8)
     components = [
@@ -621,10 +694,7 @@ class TestCheckWitness:
 
     def test_tampered_witness_fails(self, artifacts, tmp_path, capsys):
         out, wit = artifacts
-        doc = json.loads(wit.read_text(encoding="utf-8"))
-        doc["witnesses"][0]["node_map"]["h6"] = "h7"
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(doc), encoding="utf-8")
+        tampered = _tamper(wit, tmp_path / "tampered.json")
         assert run(["check-witness", FIG1, str(out), str(tampered)]) == 1
         assert "component 0" in capsys.readouterr().out
 
@@ -661,6 +731,18 @@ class TestCheckValid:
     def test_budget_exceeded(self, capsys):
         assert run(["check-valid", FIG2, FIG2]) == 2
         assert "BudgetExceeded" in capsys.readouterr().err
+
+    def test_budget_exceeded_later_writes_no_report(self, tmp_path, capsys):
+        # The report is written once every component has been searched, so
+        # a second component over the budget leaves no line for the first.
+        small = comp(Layout.SLL, {"x"}, {"a", "b"}, {ve("x", "a"), ne("a", "b")})
+        heap = tmp_path / "heap.json"
+        fig1 = parse_heap(Path(FIG1).read_text(encoding="utf-8")).components[0]
+        heap.write_text(serialize_heap(Heap((small, fig1))), encoding="utf-8")
+        assert run(["check-valid", str(heap), str(heap), "--budget", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: BudgetExceeded: source has 8 nodes, budget is 4\n"
 
     def test_budget_can_be_raised(self):
         assert run(["check-valid", FIG3, FIG3]) == 0

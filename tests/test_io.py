@@ -434,10 +434,6 @@ class TestExportDot:
         assert "nodes -> x1;" in dot
         assert "x1 [shape=oval];" in dot
 
-    def test_graph_name_is_quoted_when_needed(self):
-        assert export_dot(Heap(()), name="my heap") == 'digraph "my heap" {\n}\n'
-        assert export_dot(Heap(()), name="graph") == 'digraph "graph" {\n}\n'
-
     def test_odd_identifiers_get_quoted(self):
         c = comp(Layout.SLL, nodes={"a-1"}, edges=set())
         dot = export_dot(Heap((c,)))
